@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -146,11 +147,16 @@ def _need(keys: dict[str, tuple[int, str]], name: str, section: str) -> tuple[in
 
 def _parse_float(lineno: int, text: str, key: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise InputFormatError(
             f"line {lineno}: value of {key!r} is not a number: {text!r}",
             line=lineno) from None
+    if not math.isfinite(value):
+        raise InputFormatError(
+            f"line {lineno}: value of {key!r} is not a finite number: {text!r}",
+            line=lineno)
+    return value
 
 
 def _parse_expression(lineno: int, text: str, key: str) -> Lagrangian:
@@ -195,8 +201,8 @@ def parse_problem_file(text: str, h_override: float | None = None) -> Problem:
         h = _parse_float(*keys["h"], key="h")
     else:
         h = 1e-3
-    if not h > 0:
-        raise InputFormatError(f"step h must be positive, got {h!r}")
+    if not 0 < h < math.inf:
+        raise InputFormatError(f"step h must be positive and finite, got {h!r}")
 
     if "constraint" not in sections:
         return Problem(scale=scale, u=u, L=lag, alpha=alpha, beta=beta, h=h)
@@ -383,10 +389,33 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# argparse takes only plain decimals such as -0.5 as negative values and
+# reads "-1e-05" after an option as another option
+_NUMERIC_OPTIONS = frozenset(("--h", "--tol", "--max-iter", "--t", "--u",
+                              "--h0", "--kmax"))
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite "--t -1e-05" as "--t=-1e-05" for the numeric options."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _NUMERIC_OPTIONS and tok.startswith("-"):
+            try:
+                float(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={tok}"
+                continue
+        out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    args = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_join_negative_values(args))
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -61,7 +61,7 @@ class PLFunction:
         return self.breakpoints[-1]
 
     def _check_domain(self, t: float) -> None:
-        if t < self.a or t > self.b:
+        if not self.a <= t <= self.b:  # also rejects nan
             raise DomainError(f"t={t!r} lies outside [{self.a}, {self.b}]")
 
     def _slope(self, i: int) -> float:
@@ -120,8 +120,10 @@ def epiderivative_liminf(fbar: PLFunction, t: float, u: float,
 
     Evaluates (f(t + h_k u) - f(t)) / h_k at h_k = h0 * 2^-k for k = 0..k_max,
     skipping steps that leave [a, b], and returns the final quotient. For a
-    piecewise-linear function this is exact once h_k |u| is smaller than the
-    distance from t to the nearest breakpoint in the direction of u. Reports
+    piecewise-linear function the quotient is exact once h_k |u| is smaller
+    than the distance from t to the nearest breakpoint in the direction of
+    u, so the halving stops there: smaller steps only lose digits to the
+    float resolution of f(t), and eventually divide by a zero step. Reports
     +inf when every step leaves the domain.
     """
     if not h0 > 0:
@@ -132,16 +134,31 @@ def epiderivative_liminf(fbar: PLFunction, t: float, u: float,
     if u == 0:
         return 0.0
     ft = fbar.eval(t)
+    gap = _first_piece_gap(fbar, t, u)
     quotient: float | None = None
     for k in range(k_max + 1):
         h = h0 * 2.0 ** (-k)
+        if h == 0.0:
+            break
         s = t + h * u
         if s < fbar.a or s > fbar.b:
             continue
         quotient = (fbar.eval(s) - ft) / h
+        if h * abs(u) < gap:
+            break
     if quotient is None:
         return math.inf
     return quotient
+
+
+def _first_piece_gap(fbar: PLFunction, t: float, u: float) -> float:
+    """Distance from t to the nearest breakpoint in the direction of u; 0
+    when that direction leaves [a, b] at once."""
+    if u > 0:
+        return 0.0 if t == fbar.b else (
+            fbar.breakpoints[bisect_right(fbar.breakpoints, t)] - t)
+    return 0.0 if t == fbar.a else (
+        t - fbar.breakpoints[bisect_left(fbar.breakpoints, t) - 1])
 
 
 def liminf_params(fbar: PLFunction, t: float, u: float,
@@ -161,10 +178,7 @@ def liminf_params(fbar: PLFunction, t: float, u: float,
         return (h0 if h0 is not None else 1.0), 0
     if h0 is None:
         h0 = 0.9 * span / abs(u)
-    if u > 0:
-        gap = fbar.breakpoints[bisect_right(fbar.breakpoints, t)] - t
-    else:
-        gap = t - fbar.breakpoints[bisect_left(fbar.breakpoints, t) - 1]
+    gap = _first_piece_gap(fbar, t, u)
     k = 0
     while h0 * 2.0 ** (-k) * abs(u) >= gap and k < 200:
         k += 1

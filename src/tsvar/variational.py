@@ -11,6 +11,7 @@ are exact on discrete scales and first-order accurate on dense parts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,8 +170,9 @@ def _second_partials(lag: Lagrangian) -> _SecondPartials:
 
 
 def _hess_raw(second: _SecondPartials, u: float, ts: np.ndarray,
-              ys: np.ndarray) -> np.ndarray:
-    """Tridiagonal Hessian of the discretized functional, as a dense matrix."""
+              ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tridiagonal Hessian of the discretized functional as its two bands:
+    the diagonal (m values) and the symmetric off-diagonal (m - 1 values)."""
     tA, Y, V, wts = _pack(u, ts, ys)
     A = _eval_checked(second[0], tA, Y, V)
     B = _eval_checked(second[1], tA, Y, V)
@@ -184,13 +186,61 @@ def _hess_raw(second: _SecondPartials, u: float, ts: np.ndarray,
         diag = u3 * (wts[1:] * A[1:] - 2.0 * B[1:]
                      + C[1:] / wts[1:] + C[:-1] / wts[:-1])
         off = u3 * (B[1:-1] - C[1:-1] / wts[1:-1])
-    m = diag.size
-    H = np.zeros((m, m))
-    idx = np.arange(m)
-    H[idx, idx] = diag
-    H[idx[:-1], idx[:-1] + 1] = off
-    H[idx[:-1] + 1, idx[:-1]] = off
-    return H
+    return diag, off
+
+
+_SINGULAR = "Newton matrix is singular at the current iterate"
+
+
+# numpy has no banded solver, and scipy.linalg.solve_banded is kept out on
+# purpose: importing scipy.linalg costs 0.26-0.4 s and about 27 MB of RSS,
+# far more than a whole small solve. A Python loop over floats is O(m).
+def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
+                       *rhs: np.ndarray) -> list[np.ndarray]:
+    """Solve T x = r for each r in rhs, where T is the symmetric tridiagonal
+    matrix with the given bands.
+
+    Gaussian elimination with partial pivoting in the row order of LAPACK
+    gtsv: a row interchange fills in a second superdiagonal. A zero pivot
+    raises SingularSystemError.
+    """
+    d = diag.tolist()
+    dl = off.tolist()  # the subdiagonal; read only
+    du = dl + [0.0]  # the superdiagonal, padded so row n - 1 needs no case
+    n = len(d)
+    du2 = [0.0] * n
+    swapped = [False] * n
+    fact = [0.0] * n
+    for i in range(n - 1):
+        if abs(dl[i]) > abs(d[i]):
+            swapped[i] = True
+            f = d[i] / dl[i]
+            d[i] = dl[i]
+            below = d[i + 1]
+            d[i + 1] = du[i] - f * below
+            du2[i] = du[i + 1]
+            du[i + 1] = -f * du2[i]
+            du[i] = below
+        else:
+            if d[i] == 0.0:
+                raise SingularSystemError(_SINGULAR)
+            f = dl[i] / d[i]
+            d[i + 1] -= f * du[i]
+        fact[i] = f
+    if d[n - 1] == 0.0:
+        raise SingularSystemError(_SINGULAR)
+    out = []
+    for r in rhs:
+        b = r.tolist() + [0.0, 0.0]
+        for i in range(n - 1):
+            if swapped[i]:
+                b[i], b[i + 1] = b[i + 1], b[i] - fact[i] * b[i + 1]
+            else:
+                b[i + 1] -= fact[i] * b[i]
+        for i in range(n - 1, -1, -1):
+            b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
+        out.append(np.array(b[:n]))
+    return out
 
 
 def _residual_raw(lag: Lagrangian, u: float, ts: np.ndarray, ys: np.ndarray,
@@ -362,12 +412,7 @@ def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution
                 f"no convergence after {max_iter} Newton steps "
                 f"(stationarity norm {float(np.max(np.abs(g))):.3e})",
                 last=tuple(float(v) for v in ys))
-        H = _hess_raw(second, u, ts, ys)
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                "Newton matrix is singular at the current iterate") from exc
+        [step] = _solve_tridiagonal(*_hess_raw(second, u, ts, ys), -g)
         if not np.all(np.isfinite(step)):
             raise SingularSystemError("Newton step is not finite")
         ys, g = _backtrack(lambda z: _grad_raw(lag, u, ts, z, checked=False),
@@ -401,6 +446,33 @@ def _backtrack(grad_of, ys: np.ndarray, step: np.ndarray, g: np.ndarray,
     raise IterationLimitError(
         "line search stalled before reaching the tolerance",
         last=tuple(float(v) for v in ys))
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _bordered_step(diag: np.ndarray, off: np.ndarray, gg: np.ndarray,
+                   phi: np.ndarray) -> tuple[np.ndarray, float]:
+    """Newton step (dy, dlam) of the bordered system
+    [[H, -gg], [gg^T, 0]] (dy, dlam) = -phi, with H tridiagonal.
+
+    Block elimination: H a = -phi_y and H b = gg give
+    dlam = (-phi_K - gg^T a) / (gg^T b) and dy = a + dlam * b. When gg^T b
+    vanishes to working precision (abnormal or constant constraint), the
+    multiplier stays put and dy = a, the least-squares step of the singular
+    bordered system.
+    """
+    m = diag.size
+    a, b = _solve_tridiagonal(diag, off, -phi[:m], gg)
+    schur = float(gg @ b)
+    if abs(schur) > m * _EPS * math.sqrt(float(gg @ gg) * float(b @ b)):
+        dlam = (-float(phi[m]) - float(gg @ a)) / schur
+        step = a + dlam * b
+    else:
+        dlam, step = 0.0, a
+    if not (np.all(np.isfinite(step)) and np.isfinite(dlam)):
+        raise SingularSystemError("Newton step is not finite")
+    return step, dlam
 
 
 def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solution:
@@ -439,24 +511,17 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
                 f"(system norm {float(np.max(np.abs(phi))):.3e})",
                 last=tuple(float(v) for v in ys))
         gg = _grad_raw(iso.G, w, ts, ys)
-        J = np.zeros((m + 1, m + 1))
-        J[:m, :m] = (_hess_raw(second_l, u, ts, ys)
-                     - lam_g * _hess_raw(second_g, w, ts, ys))
-        J[:m, m] = -gg
-        J[m, :m] = gg
-        try:
-            step = np.linalg.solve(J, -phi)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(J, -phi, rcond=None)
-        if not np.all(np.isfinite(step)):
-            raise SingularSystemError("Newton step is not finite")
+        diag_l, off_l = _hess_raw(second_l, u, ts, ys)
+        diag_g, off_g = _hess_raw(second_g, w, ts, ys)
+        step, dlam = _bordered_step(diag_l - lam_g * diag_g,
+                                    off_l - lam_g * off_g, gg, phi)
         accepted = False
         phi0 = 0.5 * float(phi @ phi)
         alpha = 1.0
         while alpha >= 1e-12:
             trial = ys.copy()
-            trial[1:-1] += alpha * step[:m]
-            lam_try = lam_g + alpha * step[m]
+            trial[1:-1] += alpha * step
+            lam_try = lam_g + alpha * dlam
             phit = system(trial, lam_try, checked=False)
             if np.all(np.isfinite(phit)):
                 phi1 = 0.5 * float(phit @ phit)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 from hypothesis import strategies as st
 
 from tsvar import PLFunction, Segment, TimeScale
@@ -55,6 +56,12 @@ def random_increasing(rng: random.Random, n: int, start_lo: float = -2.0,
         x += rng.uniform(gap_lo, gap_hi)
         pts.append(x)
     return pts
+
+
+def dense_tridiagonal(diag, off) -> np.ndarray:
+    """Dense symmetric matrix from its diagonal and off-diagonal bands; the
+    reference the banded Newton step is checked against."""
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def central_diff(fn, x: float, h: float = 1e-5) -> float:

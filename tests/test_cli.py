@@ -105,6 +105,16 @@ class TestSolve:
         header, rows = read_csv(cp.stdout)
         assert len(rows) == 5
 
+    def test_fine_step_solves_in_linear_memory(self, tmp_path: Path):
+        # 100,001 points: a dense Newton matrix would need about 75 GiB
+        prob = tmp_path / "fine.prob"
+        prob.write_text(CLASSIC.replace("L = v^2", "L = v^2 + y^2"))
+        out = tmp_path / "sol.csv"
+        cp = run_cli("solve", str(prob), "--h", "1e-5", "--out", str(out))
+        assert cp.returncode == 0, cp.stderr
+        assert "iterations = 1" in cp.stdout
+        assert len(out.read_text().splitlines()) == 100_002
+
     def test_deterministic_output(self, tmp_path: Path):
         prob = tmp_path / "iso.prob"
         prob.write_text(ISO)
@@ -187,6 +197,33 @@ class TestEpideriv:
                      "--t", "3", "--u", "1")
         assert cp.returncode == 2
 
+    def test_refining_past_the_first_piece_keeps_the_slope(self, tmp_path: Path):
+        # the quotient is exact once the step lies inside the first linear
+        # piece; further halving used to lose digits and, at 1100 halvings,
+        # divide by a zero step
+        fcsv = tmp_path / "f.csv"
+        fcsv.write_text("t,value\n0,1\n1,2\n")
+        args = ("epideriv", "points 0 1", "--f", str(fcsv), "--t", "0", "--u", "1")
+        default = run_cli(*args)
+        assert default.returncode == 0, default.stderr
+        for kmax in ("40", "52", "53", "60", "1100"):
+            cp = run_cli(*args, "--kmax", kmax)
+            assert cp.returncode == 0, (kmax, cp.stderr)
+            assert cp.stdout == default.stdout, kmax
+            closed, liminf = (float(x) for x in cp.stdout.splitlines()[1].split(","))
+            assert closed == 1.0
+            assert liminf == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
+    def test_negative_exponent_value_after_flag(self, tmp_path: Path):
+        fcsv = tmp_path / "f.csv"
+        fcsv.write_text("t,value\n-1,1\n1,-3\n")
+        base = ("epideriv", "interval -1 1", "--f", str(fcsv))
+        spaced = run_cli(*base, "--t", "-1e-05", "--u", "-2.5e-1")
+        joined = run_cli(*base, "--t=-1e-05", "--u=-2.5e-1")
+        assert spaced.returncode == 0, spaced.stderr
+        assert spaced.stdout == joined.stdout
+        assert spaced.stdout == "closed,liminf\n0.5,0.5\n"
+
     def test_scale_from_file(self, tmp_path: Path):
         scale = tmp_path / "scale.ts"
         scale.write_text("interval 0 1\npoints 2\n")
@@ -233,6 +270,45 @@ class TestCalc:
         fcsv.write_text("t,value\n0,0\n0.5,1\n1,1\n")
         cp = run_cli("calc", "deriv", "points 0 1", "--f", str(fcsv))
         assert cp.returncode == 2
+
+
+class TestNonFiniteProblemValues:
+    """nan, inf and overflowing literals are malformed input (exit 2), not a
+    numerical failure; one test per family of problem-file keys."""
+
+    def check(self, tmp_path: Path, text: str, key: str) -> None:
+        from tsvar.cli import parse_problem_file
+        from tsvar.errors import InputFormatError
+
+        for bad in ("nan", "inf", "-inf", "1e309"):
+            with pytest.raises(InputFormatError, match=key):
+                parse_problem_file(text.replace("@", bad))
+        prob = tmp_path / "bad.prob"
+        prob.write_text(text.replace("@", "1e309"))
+        cp = run_cli("solve", str(prob))
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert len(cp.stderr.splitlines()) == 1, cp.stderr
+        assert "finite" in cp.stderr
+
+    def test_directions(self, tmp_path: Path):
+        self.check(tmp_path, CLASSIC.replace("u = 1", "u = @"), "'u'")
+        self.check(tmp_path, ISO.replace("w = 1", "w = @"), "'w'")
+
+    def test_boundary_values(self, tmp_path: Path):
+        self.check(tmp_path, CLASSIC.replace("alpha = 0", "alpha = @"), "'alpha'")
+        self.check(tmp_path, CLASSIC.replace("beta = 1", "beta = @"), "'beta'")
+
+    def test_constraint_target(self, tmp_path: Path):
+        self.check(tmp_path, ISO.replace("K = 0.16666666666666666", "K = @"), "'K'")
+
+    def test_step(self, tmp_path: Path):
+        self.check(tmp_path, CLASSIC.replace("h = 1e-3", "h = @"), "'h'")
+        prob = tmp_path / "classic.prob"
+        prob.write_text(CLASSIC)
+        cp = run_cli("solve", str(prob), "--h", "inf")
+        assert cp.returncode == 2
+        assert len(cp.stderr.splitlines()) == 1, cp.stderr
 
 
 class TestUsage:

@@ -89,6 +89,10 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             epiderivative_closed(VEE, 2.5, 1.0)
 
+    def test_nan_point_is_outside_domain(self):
+        with pytest.raises(DomainError):
+            epiderivative_closed(VEE, math.nan, 1.0)
+
 
 class TestLiminf:
     def test_affine_exact_at_every_step(self):
@@ -109,6 +113,13 @@ class TestLiminf:
             epiderivative_liminf(VEE, 0.5, 1.0, 0.0, 10)
         with pytest.raises(ParameterError):
             epiderivative_liminf(VEE, 0.5, 1.0, 0.5, -1)
+
+    def test_step_underflow_stops_cleanly(self):
+        # the first piece is shorter than any nonzero step times u, so the
+        # halving runs until h underflows to 0 and must stop there
+        fbar = PLFunction((0.0, 1e-300, 1.0), (0.0, 2e-300, 1.0))
+        got = epiderivative_liminf(fbar, 0.0, 1e30, 1.0, 1100)
+        assert got > 0 and not math.isnan(got)
 
     def test_oversized_first_steps_are_skipped(self):
         # h0 overshoots the domain; later halvings land inside

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import random_increasing
+from helpers import dense_tridiagonal, random_increasing
 from tsvar import (
     GridFunction,
     IsoProblem,
@@ -245,7 +245,7 @@ class TestHessian:
         ts = np.asarray(pts)
         for u in (1.3, -0.7):
             ys = np.asarray([rng.uniform(-1, 1) for _ in range(6)])
-            H = _hess_raw(_second_partials(lag), u, ts, ys)
+            H = dense_tridiagonal(*_hess_raw(_second_partials(lag), u, ts, ys))
             m = len(pts) - 2
             step = 1e-6
             for j in range(m):
@@ -254,6 +254,132 @@ class TestHessian:
                 lo[j + 1] -= step
                 col = (_grad_raw(lag, u, ts, hi) - _grad_raw(lag, u, ts, lo)) / (2 * step)
                 assert np.allclose(H[:, j], col, atol=1e-5), (u, j)
+
+
+class TestBandedNewtonStep:
+    """The banded Newton step against np.linalg.solve on the assembled
+    dense matrix, which is kept only as a test oracle."""
+
+    SMOOTH = Lagrangian.from_text("v^2 + sin(y)*v + exp(y/2) + 0.1*t*y^2")
+    INDEFINITE = Lagrangian.from_text("y^2 - v^2")
+
+    @staticmethod
+    def close(got, want):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        return float(np.max(np.abs(np.asarray(got) - want))) <= 1e-12 * scale
+
+    def random_case(self, rng, lag, u):
+        from tsvar.variational import _grad_raw, _hess_raw, _second_partials
+
+        n = rng.randint(5, 12)
+        ts = np.asarray(random_increasing(rng, n, gap_lo=0.2, gap_hi=2.0))
+        ys = np.asarray([rng.uniform(-1, 1) for _ in range(n)])
+        diag, off = _hess_raw(_second_partials(lag), u, ts, ys)
+        return ts, ys, diag, off, _grad_raw(lag, u, ts, ys)
+
+    def test_solve_step_matches_dense(self):
+        from tsvar.variational import _solve_tridiagonal
+
+        rng = random.Random(29)
+        first_row_swaps = 0
+        for lag in (self.SMOOTH, self.INDEFINITE):
+            for sign in (1.0, -1.0):
+                for _ in range(20):
+                    u = sign * rng.uniform(0.3, 2.0)
+                    _, _, diag, off, g = self.random_case(rng, lag, u)
+                    [got] = _solve_tridiagonal(diag, off, -g)
+                    want = np.linalg.solve(dense_tridiagonal(diag, off), -g)
+                    assert self.close(got, want), (lag, u)
+                    first_row_swaps += abs(diag[0]) < abs(off[0])
+        # the indefinite integrand makes the elimination interchange rows
+        assert first_row_swaps > 0
+
+    def test_forced_row_interchange(self):
+        from tsvar.variational import _solve_tridiagonal
+
+        diag = np.array([0.0, 1.0, -2.0, 0.5, 3.0])
+        off = np.array([1.0, 4.0, 1e-3, -2.0])
+        rhs = np.array([1.0, -1.0, 2.0, 0.0, 5.0])
+        [got] = _solve_tridiagonal(diag, off, rhs)
+        want = np.linalg.solve(dense_tridiagonal(diag, off), rhs)
+        assert self.close(got, want)
+
+    def test_bordered_step_matches_dense(self):
+        from tsvar.variational import (
+            _bordered_step,
+            _functional_raw,
+            _grad_raw,
+            _hess_raw,
+            _second_partials,
+        )
+
+        rng = random.Random(31)
+        G = Lagrangian.from_text("y + 0.2*y^2 + exp(y/3)*v")
+        for lag in (self.SMOOTH, self.INDEFINITE):
+            for u_sign, w_sign in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                for _ in range(10):
+                    u = u_sign * rng.uniform(0.3, 2.0)
+                    w = w_sign * rng.uniform(0.3, 2.0)
+                    lam = rng.uniform(-2, 2)
+                    ts, ys, diag_l, off_l, gl = self.random_case(rng, lag, u)
+                    diag_g, off_g = _hess_raw(_second_partials(G), w, ts, ys)
+                    gg = _grad_raw(G, w, ts, ys)
+                    cons = _functional_raw(G, w, ts, ys) - rng.uniform(-1, 1)
+                    phi = np.concatenate([gl - lam * gg, [cons]])
+                    diag, off = diag_l - lam * diag_g, off_l - lam * off_g
+                    step, dlam = _bordered_step(diag, off, gg, phi)
+                    m = diag.size
+                    J = np.zeros((m + 1, m + 1))
+                    J[:m, :m] = dense_tridiagonal(diag, off)
+                    J[:m, m] = -gg
+                    J[m, :m] = gg
+                    want = np.linalg.solve(J, -phi)
+                    assert self.close(np.append(step, dlam), want), (lag, u, w)
+
+    def test_vanishing_constraint_gradient_is_least_squares_step(self):
+        from tsvar.variational import _bordered_step
+
+        rng = random.Random(37)
+        _, _, diag, off, g = self.random_case(rng, self.SMOOTH, 1.1)
+        m = diag.size
+        phi = np.append(g, 0.25)
+        step, dlam = _bordered_step(diag, off, np.zeros(m), phi)
+        J = np.zeros((m + 1, m + 1))
+        J[:m, :m] = dense_tridiagonal(diag, off)
+        want, *_ = np.linalg.lstsq(J, -phi, rcond=None)
+        assert dlam == 0.0
+        assert self.close(np.append(step, dlam), want)
+
+    def test_zero_hessian_is_singular(self):
+        from tsvar.variational import _bordered_step, _solve_tridiagonal
+
+        with pytest.raises(SingularSystemError):
+            _solve_tridiagonal(np.zeros(4), np.zeros(3), np.ones(4))
+        with pytest.raises(SingularSystemError):
+            _bordered_step(np.zeros(4), np.zeros(3), np.ones(4), np.ones(5))
+
+    def test_zero_hessian_iso_reported(self):
+        iso = IsoProblem(scale=UNIT, u=1.0, L=Lagrangian.from_text("y"),
+                         alpha=0.0, beta=1.0, h=0.1,
+                         G=Lagrangian.from_text("t*y"), w=-1.0, K=0.5)
+        with pytest.raises(SingularSystemError):
+            solve_iso(iso)
+
+
+class TestFineGrid:
+    def test_bump_converges_at_second_order(self):
+        # the discrete bump is c * t(1-t) with c = 1/(1 - h^2), so the
+        # error at t = 1/2 is h^2/4; below h = 5e-5 rounding (about 5e-10
+        # at 5e4 points) overtakes it
+        errors = []
+        for h in (1e-4, 5e-5):
+            iso = IsoProblem(scale=UNIT, u=1.0, L=V2, alpha=0.0, beta=0.0,
+                             h=h, G=Lagrangian.from_text("y"), w=1.0, K=1 / 6)
+            sol = solve_iso(iso)
+            ts = np.asarray(sol.y.grid.points)
+            errors.append(float(np.max(np.abs(np.asarray(sol.y.values) - ts * (1 - ts)))))
+            assert sol.lam == pytest.approx(4.0, abs=1e-6)
+        assert 3.6 <= errors[0] / errors[1] <= 4.4, errors
 
 
 class TestSolve:
