@@ -391,15 +391,14 @@ def _build_parser() -> _Parser:
 
 # argparse takes only plain decimals such as -0.5 as negative values and
 # reads "-1e-05" after an option as another option
-_NUMERIC_OPTIONS = frozenset(("--h", "--tol", "--max-iter", "--t", "--u",
-                              "--h0", "--kmax"))
-
-
 def _join_negative_values(argv: list[str]) -> list[str]:
-    """Rewrite "--t -1e-05" as "--t=-1e-05" for the numeric options."""
+    """Rewrite "--t -1e-05" as "--t=-1e-05". Every option takes a value, so a
+    number after any long option is that option's value."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in _NUMERIC_OPTIONS and tok.startswith("-"):
+        opt = out[-1] if out else ""
+        if (opt.startswith("--") and len(opt) > 2 and "=" not in opt
+                and tok.startswith("-")):
             try:
                 float(tok)
             except ValueError:

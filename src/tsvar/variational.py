@@ -448,29 +448,65 @@ def _backtrack(grad_of, ys: np.ndarray, step: np.ndarray, g: np.ndarray,
         last=tuple(float(v) for v in ys))
 
 
-_EPS = float(np.finfo(float).eps)
-
-
 def _bordered_step(diag: np.ndarray, off: np.ndarray, gg: np.ndarray,
                    phi: np.ndarray) -> tuple[np.ndarray, float]:
     """Newton step (dy, dlam) of the bordered system
     [[H, -gg], [gg^T, 0]] (dy, dlam) = -phi, with H tridiagonal.
 
-    Block elimination: H a = -phi_y and H b = gg give
-    dlam = (-phi_K - gg^T a) / (gg^T b) and dy = a + dlam * b. When gg^T b
-    vanishes to working precision (abnormal or constant constraint), the
-    multiplier stays put and dy = a, the least-squares step of the singular
-    bordered system.
+    The (m + 1)-system is eliminated as a whole, so H itself may be
+    singular, as it is for an integrand linear in (y, v) at lam = 0.
+    Gaussian elimination with partial pivoting runs over the dy columns:
+    the candidates for column k are the two rows left over from column
+    k - 1 and row k + 1 of H, and the border row gg^T starts as a leftover.
+    A working row is kept as its entries in columns k, k + 1 and k + 2, a
+    multiple c of gg in the columns past them, its dlam entry and its
+    right-hand side; only the border row and the rows combined with it have
+    c != 0. So each column costs O(1), and the dense border costs a running
+    sum of gg_j dy_j in the back substitution.
+
+    When H = 0 the bordered matrix has rank 2, and the step is its
+    minimum-norm least-squares solution. When the last pivot vanishes, as
+    it does for gg = 0 (a constant or abnormal constraint), the multiplier
+    stays put and dy solves H dy = -phi_y. A zero pivot in a dy column
+    raises SingularSystemError.
     """
     m = diag.size
-    a, b = _solve_tridiagonal(diag, off, -phi[:m], gg)
-    schur = float(gg @ b)
-    if abs(schur) > m * _EPS * math.sqrt(float(gg @ gg) * float(b @ b)):
-        dlam = (-float(phi[m]) - float(gg @ a)) / schur
-        step = a + dlam * b
-    else:
-        dlam, step = 0.0, a
-    if not (np.all(np.isfinite(step)) and np.isfinite(dlam)):
+    if not (diag.any() or off.any()):
+        gn = float(gg @ gg)
+        if gn == 0.0:
+            raise SingularSystemError(_SINGULAR)
+        return -float(phi[m]) / gn * gg, float(gg @ phi[:m]) / gn
+    d = diag.tolist()
+    o = off.tolist() + [0.0]
+    g = gg.tolist() + [0.0, 0.0, 0.0]
+    r = (-phi).tolist()
+    # [column k, column k + 1, column k + 2, c, dlam column, right-hand side]
+    rows = [[d[0], o[0], 0.0, 0.0, -g[0], r[0]],
+            [g[0], g[1], g[2], 1.0, 0.0, r[m]]]
+    pivots = []
+    for k in range(m):
+        if k + 1 < m:
+            rows.append([o[k], d[k + 1], o[k + 1], 0.0, -g[k + 1], r[k + 1]])
+        p = rows.pop(max(range(len(rows)), key=lambda i: abs(rows[i][0])))
+        if p[0] == 0.0:
+            raise SingularSystemError(_SINGULAR)
+        pivots.append(p)
+        nxt = g[k + 3]
+        for row in rows:
+            f = row[0] / p[0]
+            c = row[3] - f * p[3]
+            row[:] = (row[1] - f * p[1], row[2] - f * p[2], c * nxt, c,
+                      row[4] - f * p[4], row[5] - f * p[5])
+    [last] = rows
+    dlam = last[5] / last[4] if last[4] != 0.0 else 0.0
+    x = [0.0] * (m + 2)
+    tail = 0.0  # sum of g[j] * x[j] over j >= k + 3
+    for k in range(m - 1, -1, -1):
+        e0, e1, e2, c, el, rhs = pivots[k]
+        x[k] = (rhs - e1 * x[k + 1] - e2 * x[k + 2] - c * tail - el * dlam) / e0
+        tail += g[k + 2] * x[k + 2]
+    step = np.array(x[:m])
+    if not (np.all(np.isfinite(step)) and math.isfinite(dlam)):
         raise SingularSystemError("Newton step is not finite")
     return step, dlam
 

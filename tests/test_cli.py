@@ -224,6 +224,15 @@ class TestEpideriv:
         assert spaced.stdout == joined.stdout
         assert spaced.stdout == "closed,liminf\n0.5,0.5\n"
 
+    def test_negative_value_joined_after_any_long_option(self):
+        from tsvar.cli import _join_negative_values
+
+        argv = ["solve", "p.txt", "--out", "-1e5", "--max-iter", "-3",
+                "--tol=1e-8", "-2", "--", "-1", "--h", "-x"]
+        assert _join_negative_values(argv) == [
+            "solve", "p.txt", "--out=-1e5", "--max-iter=-3",
+            "--tol=1e-8", "-2", "--", "-1", "--h", "-x"]
+
     def test_scale_from_file(self, tmp_path: Path):
         scale = tmp_path / "scale.ts"
         scale.write_text("interval 0 1\npoints 2\n")

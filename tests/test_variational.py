@@ -304,6 +304,15 @@ class TestBandedNewtonStep:
         want = np.linalg.solve(dense_tridiagonal(diag, off), rhs)
         assert self.close(got, want)
 
+    @staticmethod
+    def bordered_dense(diag, off, gg):
+        m = diag.size
+        J = np.zeros((m + 1, m + 1))
+        J[:m, :m] = dense_tridiagonal(diag, off)
+        J[:m, m] = -gg
+        J[m, :m] = gg
+        return J
+
     def test_bordered_step_matches_dense(self):
         from tsvar.variational import (
             _bordered_step,
@@ -328,13 +337,32 @@ class TestBandedNewtonStep:
                     phi = np.concatenate([gl - lam * gg, [cons]])
                     diag, off = diag_l - lam * diag_g, off_l - lam * off_g
                     step, dlam = _bordered_step(diag, off, gg, phi)
-                    m = diag.size
-                    J = np.zeros((m + 1, m + 1))
-                    J[:m, :m] = dense_tridiagonal(diag, off)
-                    J[:m, m] = -gg
-                    J[m, :m] = gg
-                    want = np.linalg.solve(J, -phi)
+                    want = np.linalg.solve(self.bordered_dense(diag, off, gg), -phi)
                     assert self.close(np.append(step, dlam), want), (lag, u, w)
+
+    def test_singular_hessian_regular_bordered_matches_dense(self):
+        # H singular, [[H, -g], [g^T, 0]] not: with row and column k of H
+        # zero, only the border row can take the pivot of column k
+        from tsvar.variational import _bordered_step
+
+        rng = np.random.default_rng(41)
+        for m in range(2, 9):
+            for k in range(m):
+                diag, off = rng.normal(size=m), rng.normal(size=m - 1)
+                diag[k] = 0.0  # row and column k of H vanish
+                off[max(k - 1, 0):k + 1] = 0.0
+                gg, phi = rng.normal(size=m), rng.normal(size=m + 1)
+                assert np.linalg.matrix_rank(dense_tridiagonal(diag, off)) == m - 1
+                step, dlam = _bordered_step(diag, off, gg, phi)
+                want = np.linalg.solve(self.bordered_dense(diag, off, gg), -phi)
+                assert self.close(np.append(step, dlam), want), (m, k)
+        # two equal rows: H = [[a, a], [a, a]] inside a larger block
+        diag = np.array([2.0, 3.0, 3.0, -1.0])
+        off = np.array([0.0, 3.0, 0.0])
+        gg, phi = np.array([0.5, -1.0, 2.0, 0.25]), np.array([1.0, 2.0, -1.0, 0.5, 3.0])
+        step, dlam = _bordered_step(diag, off, gg, phi)
+        want = np.linalg.solve(self.bordered_dense(diag, off, gg), -phi)
+        assert self.close(np.append(step, dlam), want)
 
     def test_vanishing_constraint_gradient_is_least_squares_step(self):
         from tsvar.variational import _bordered_step
@@ -344,25 +372,49 @@ class TestBandedNewtonStep:
         m = diag.size
         phi = np.append(g, 0.25)
         step, dlam = _bordered_step(diag, off, np.zeros(m), phi)
-        J = np.zeros((m + 1, m + 1))
-        J[:m, :m] = dense_tridiagonal(diag, off)
+        J = self.bordered_dense(diag, off, np.zeros(m))
         want, *_ = np.linalg.lstsq(J, -phi, rcond=None)
         assert dlam == 0.0
         assert self.close(np.append(step, dlam), want)
 
-    def test_zero_hessian_is_singular(self):
+    def test_zero_hessian_is_least_squares_step(self):
+        # H = 0 leaves the bordered matrix with rank 2
+        from tsvar.variational import _bordered_step
+
+        gg = np.array([1.0, -2.0, 0.5, 3.0])
+        phi = np.array([0.5, 1.0, -1.0, 2.0, 0.75])
+        step, dlam = _bordered_step(np.zeros(4), np.zeros(3), gg, phi)
+        J = self.bordered_dense(np.zeros(4), np.zeros(3), gg)
+        want, *_ = np.linalg.lstsq(J, -phi, rcond=None)
+        assert self.close(np.append(step, dlam), want)
+
+    def test_zero_hessian_and_gradient_is_singular(self):
         from tsvar.variational import _bordered_step, _solve_tridiagonal
 
         with pytest.raises(SingularSystemError):
             _solve_tridiagonal(np.zeros(4), np.zeros(3), np.ones(4))
         with pytest.raises(SingularSystemError):
-            _bordered_step(np.zeros(4), np.zeros(3), np.ones(4), np.ones(5))
+            _bordered_step(np.zeros(4), np.zeros(3), np.zeros(4), np.ones(5))
 
-    def test_zero_hessian_iso_reported(self):
+    def test_linear_integrand_quadratic_constraint(self):
+        # L = y has a zero Hessian at lam = 0; the least-squares first step
+        # moves lam to the stationarity value 1 = 2 * lam * y with y = 1
+        for u, lam in ((1.0, 0.5), (-1.0, -0.5)):
+            iso = IsoProblem(scale=UNIT, u=u, L=Lagrangian.from_text("y"),
+                             alpha=1.0, beta=1.0, h=0.1,
+                             G=Lagrangian.from_text("y^2"), w=1.0, K=1.0)
+            sol = solve_iso(iso)
+            assert sol.lam == pytest.approx(lam, abs=1e-12)
+            assert sol.normal_flag is True
+            assert max(abs(v - 1.0) for v in sol.y.values) <= 1e-12
+
+    def test_linear_integrand_linear_constraint_reported(self):
+        # H = 0 at every iterate and the least-squares step cannot reach
+        # stationarity: the line search stalls
         iso = IsoProblem(scale=UNIT, u=1.0, L=Lagrangian.from_text("y"),
                          alpha=0.0, beta=1.0, h=0.1,
                          G=Lagrangian.from_text("t*y"), w=-1.0, K=0.5)
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(IterationLimitError):
             solve_iso(iso)
 
 
