@@ -26,8 +26,6 @@ from .epiderivative import (
     epiderivative_liminf,
     extend,
     liminf_params,
-    read_pl_csv,
-    write_pl_csv,
 )
 from .lagrangian import Lagrangian, differentiate, evaluate, to_text
 from .timescale import (
@@ -61,7 +59,6 @@ __all__ = [
     "delta_integral", "nabla_integral", "read_grid_csv", "write_grid_csv",
     "PLFunction", "EpiCone", "extend", "epiderivative_closed",
     "epiderivative_liminf", "liminf_params", "contingent_cone_epi",
-    "read_pl_csv", "write_pl_csv",
     "Lagrangian", "differentiate", "evaluate", "to_text",
     "Problem", "IsoProblem", "Solution", "VerifyReport",
     "functional_value", "el_residual", "residual_column",

@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from .calculus import (
-    GridFunction,
     delta_deriv,
     delta_integral,
     nabla_deriv,
@@ -44,7 +43,7 @@ from .errors import (
     SingularSystemError,
 )
 from .lagrangian import Lagrangian
-from .timescale import TimeScale, parse_scale_line
+from .timescale import TimeScale, parse_scale_line, parse_timescale
 from .variational import (
     IsoProblem,
     Problem,
@@ -229,21 +228,8 @@ def _load_scale(arg: str) -> TimeScale:
             if "timescale" not in sections:
                 raise InputFormatError("file has sections but no [timescale]")
             return _scale_from_rows(sections["timescale"])
-        return _scale_from_text(text)
-    return _scale_from_text(arg)
-
-
-def _scale_from_text(text: str) -> TimeScale:
-    segments = []
-    rows = [(i, ln.strip()) for i, ln in
-            enumerate(text.replace(";", "\n").splitlines(), start=1)]
-    for lineno, line in rows:
-        if not line or line.startswith("#"):
-            continue
-        segments.extend(parse_scale_line(line, lineno))
-    if not segments:
-        raise InputFormatError("time scale description is empty")
-    return TimeScale.from_segments(segments)
+        return parse_timescale(text)
+    return parse_timescale(arg)
 
 
 # -- output helpers ----------------------------------------------------------------
@@ -295,18 +281,11 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
 
 def _cmd_residual(ns: argparse.Namespace) -> int:
     problem = parse_problem_file(Path(ns.file).read_text(), h_override=ns.h)
-    grid = problem.discretized()
     with open(ns.y) as fh:
         yfn = read_grid_csv(fh)
-    if yfn.grid.points != grid.points:
-        raise GridMismatchError(
-            f"trajectory CSV has {len(yfn.grid.points)} points but the "
-            f"discretized grid has {len(grid.points)}; t columns must match "
-            "the grid exactly")
-    yfn = GridFunction(grid, yfn.values)
     col = residual_column(problem, yfn, enforce_boundaries=False)
     lines = ["t,residual"]
-    for t, r in zip(grid.points, col):
+    for t, r in zip(yfn.grid.points, col):
         lines.append(f"{_fmt(t)},{'' if r is None else _fmt(r)}")
     _emit("\n".join(lines) + "\n", ns.out)
     return 0

@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, TextIO
-
 from .calculus import GridFunction
-from .errors import DomainError, InputFormatError, ParameterError, PointNotInSetError
+from .errors import DomainError, ParameterError, PointNotInSetError
 
 __all__ = [
     "PLFunction",
@@ -25,8 +23,6 @@ __all__ = [
     "epiderivative_liminf",
     "liminf_params",
     "contingent_cone_epi",
-    "write_pl_csv",
-    "read_pl_csv",
 ]
 
 
@@ -93,6 +89,11 @@ class PLFunction:
         return self._slope(bisect_left(self.breakpoints, t) - 1)
 
 
+def _check_direction(u: float) -> None:
+    if not math.isfinite(u):
+        raise ParameterError(f"direction u must be finite, got {u!r}")
+
+
 def extend(f: GridFunction) -> PLFunction:
     """Piecewise-linear extension of sampled values: chords across every gap."""
     return PLFunction(f.grid.points, f.values)
@@ -105,6 +106,7 @@ def epiderivative_closed(fbar: PLFunction, t: float, u: float) -> float:
     direction immediately leaves [a, b] (the empty-value convention), and 0
     for u == 0.
     """
+    _check_direction(u)
     fbar._check_domain(t)
     if u == 0:
         return 0.0
@@ -126,6 +128,7 @@ def epiderivative_liminf(fbar: PLFunction, t: float, u: float,
     float resolution of f(t), and eventually divide by a zero step. Reports
     +inf when every step leaves the domain.
     """
+    _check_direction(u)
     if not h0 > 0:
         raise ParameterError(f"h0 must be positive, got {h0!r}")
     if k_max < 0:
@@ -170,6 +173,7 @@ def liminf_params(fbar: PLFunction, t: float, u: float,
     When no step is admissible the estimator will report +inf regardless,
     and (1.0, 0) is returned.
     """
+    _check_direction(u)
     fbar._check_domain(t)
     if u == 0:
         return (h0 if h0 is not None else 1.0), 0
@@ -226,38 +230,3 @@ def contingent_cone_epi(fbar: PLFunction, t: float, level: float) -> EpiCone:
         interior=level > ft,
     )
 
-
-def write_pl_csv(fbar: PLFunction, stream: TextIO) -> None:
-    """Write the `t,value` CSV form, breakpoints only."""
-    stream.write("t,value\n")
-    for t, v in zip(fbar.breakpoints, fbar.values):
-        stream.write(f"{t:.17g},{v:.17g}\n")
-
-
-def read_pl_csv(stream: Iterable[str]) -> PLFunction:
-    """Read a piecewise-linear function from its `t,value` CSV form."""
-    lines = iter(enumerate(stream, start=1))
-    try:
-        _, header = next(lines)
-    except StopIteration:
-        raise InputFormatError("empty CSV: expected a `t,value` header", line=1) from None
-    if header.strip() != "t,value":
-        raise InputFormatError(
-            f"bad CSV header {header.strip()!r}: expected 't,value'", line=1)
-    breakpoints: list[float] = []
-    values: list[float] = []
-    for lineno, raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise InputFormatError(
-                f"line {lineno}: expected two comma-separated fields", line=lineno)
-        try:
-            breakpoints.append(float(cells[0]))
-            values.append(float(cells[1]))
-        except ValueError:
-            raise InputFormatError(
-                f"line {lineno}: not a number in {line!r}", line=lineno) from None
-    return PLFunction(tuple(breakpoints), tuple(values))

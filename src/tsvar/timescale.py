@@ -25,9 +25,15 @@ __all__ = [
     "PointClass",
     "TimeScale",
     "SampleGrid",
+    "MAX_GRID_POINTS",
     "grid_from_points",
     "parse_timescale",
 ]
+
+# A grid is a tuple of Python floats and one of flags, about 40 bytes a point,
+# so 10^7 points already take some 0.4 GB. discretize counts the points of a
+# grid before it builds any of them and refuses a grid larger than this.
+MAX_GRID_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -211,28 +217,43 @@ class TimeScale:
         An interval of length ell is divided into ceil(ell/h) equal steps;
         when ell/h sits within a relative 1e-12 of an integer the count is
         rounded down so no step degenerates. Subdivision points are flagged
-        as approximation points, endpoints are exact.
+        as approximation points, endpoints are exact. A grid of more than
+        MAX_GRID_POINTS points raises ParameterError before it is built.
         """
         if not h > 0:
             raise ParameterError(f"step h must be positive, got {h!r}")
+        counts = [0 if seg.is_point else _step_count(seg.right - seg.left, h)
+                  for seg in self.segments]
+        if len(counts) + sum(counts) > MAX_GRID_POINTS:
+            raise ParameterError(
+                f"step h={h!r} needs more than {MAX_GRID_POINTS} grid points; "
+                "use a larger step")
         pts: list[float] = []
         flags: list[bool] = []
-        for seg in self.segments:
+        for seg, n in zip(self.segments, counts):
             pts.append(seg.left)
             flags.append(False)
             if seg.is_point:
                 continue
             span = seg.right - seg.left
-            ratio = span / h
-            n = math.ceil(ratio)
-            if n > 1 and (n - 1) >= ratio * (1.0 - 1e-12):
-                n -= 1
             for k in range(1, n):
                 pts.append(seg.left + span * (k / n))
                 flags.append(True)
             pts.append(seg.right)
             flags.append(False)
         return SampleGrid(tuple(pts), tuple(flags))
+
+
+def _step_count(span: float, h: float) -> int:
+    """Steps of an interval of length span: ceil(span/h), one fewer when
+    span/h sits within a relative 1e-12 of an integer."""
+    # a ratio past the budget is cut to just past it: the grid stays over
+    # the budget, and ceil stays finite when span/h overflows to inf
+    ratio = min(span / h, MAX_GRID_POINTS + 1.0)
+    n = math.ceil(ratio)
+    if n > 1 and (n - 1) >= ratio * (1.0 - 1e-12):
+        n -= 1
+    return n
 
 
 def _drop_max(segs: list[Segment]) -> list[Segment]:

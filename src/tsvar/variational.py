@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,13 @@ class Problem:
             raise ParameterError("variational problems need a scale with a < b")
 
     def discretized(self) -> SampleGrid:
+        """The problem's one grid: built on first use, then kept on the instance."""
+        return self._grid
+
+    # per instance, not in a module-level cache, so a grid lives no longer
+    # than its problem
+    @cached_property
+    def _grid(self) -> SampleGrid:
         return self.scale.discretize(self.h)
 
 
@@ -256,24 +264,36 @@ def _residual_raw(lag: Lagrangian, u: float, ts: np.ndarray, ys: np.ndarray,
     return u * ((g[1:] - g[:-1]) / wts[1:] - p2[1:])
 
 
-def _interior_range(n: int) -> range:
-    """Grid indices in the doubly truncated interior of an n-point grid."""
-    return range(2, n - 2)
-
-
-def _residual_at(u: float, values: np.ndarray, grid_index: int) -> float:
+def _interior(u: float, values: np.ndarray) -> np.ndarray:
+    """The part of a residual on the doubly truncated interior, grid indices
+    2..N-3."""
     # values are aligned to grid index 0 for u > 0 and to grid index 2 for u < 0
-    return float(values[grid_index] if u > 0 else values[grid_index - 2])
+    return values[2:] if u > 0 else values[:-2]
+
+
+def _interior_residual(problem: Problem, ts: np.ndarray, ys: np.ndarray,
+                       lam0: float | None = None,
+                       lam: float | None = None) -> np.ndarray:
+    """Residual on the doubly truncated interior; with multipliers, the
+    combined residual lam0 * (L side) - lam * (constraint side)."""
+    if lam is not None and not isinstance(problem, IsoProblem):
+        raise ParameterError("multipliers are only meaningful for IsoProblem")
+    res = _interior(problem.u, _residual_raw(problem.L, problem.u, ts, ys))
+    if lam is None:
+        return res
+    res_g = _interior(problem.w, _residual_raw(problem.G, problem.w, ts, ys))
+    return (1.0 if lam0 is None else lam0) * res - lam * res_g
 
 
 # -- structural checks ------------------------------------------------------------
 
 def _require_grid(problem: Problem, y: GridFunction) -> SampleGrid:
     grid = problem.discretized()
-    if y.grid.points != grid.points:
+    if y.grid is not grid and y.grid.points != grid.points:
         raise GridMismatchError(
-            "trajectory grid does not match the problem's discretized grid "
-            f"({len(y.grid.points)} vs {len(grid.points)} points)")
+            f"trajectory CSV has {len(y.grid.points)} points but the "
+            f"discretized grid has {len(grid.points)}; t columns must match "
+            "the grid exactly")
     return grid
 
 
@@ -314,7 +334,7 @@ def el_residual(problem: Problem, y: GridFunction) -> GridFunction:
         sub = SampleGrid(grid.points[:-2], grid.dense_flags[:-2])
     else:
         sub = SampleGrid(grid.points[2:], grid.dense_flags[2:])
-    return GridFunction(sub, tuple(float(r) for r in res))
+    return GridFunction(sub, res.tolist())
 
 
 def residual_column(problem: Problem, y: GridFunction,
@@ -327,42 +347,33 @@ def residual_column(problem: Problem, y: GridFunction,
     if enforce_boundaries:
         _require_boundaries(problem, y)
     n = len(grid.points)
-    ts = np.asarray(grid.points)
-    ys = np.asarray(y.values)
+    res = _interior_residual(problem, np.asarray(grid.points),
+                             np.asarray(y.values), lam0, lam)
     col: list[float | None] = [None] * n
-    interior = _interior_range(n)
-    if lam is None:
-        res = _residual_raw(problem.L, problem.u, ts, ys)
-        for i in interior:
-            col[i] = _residual_at(problem.u, res, i)
-        return col
-    if not isinstance(problem, IsoProblem):
-        raise ParameterError("multipliers are only meaningful for IsoProblem")
-    res_l = _residual_raw(problem.L, problem.u, ts, ys)
-    res_g = _residual_raw(problem.G, problem.w, ts, ys)
-    l0 = 1.0 if lam0 is None else lam0
-    for i in interior:
-        col[i] = (l0 * _residual_at(problem.u, res_l, i)
-                  - lam * _residual_at(problem.w, res_g, i))
+    col[2:n - 2] = res.tolist()
     return col
 
 
-def _interior_max(col: list[float | None]) -> float:
-    vals = [abs(v) for v in col if v is not None]
-    if not vals:
+def _interior_max(res: np.ndarray) -> float:
+    if not res.size:
         raise DegenerateScaleError(
             "doubly truncated interior is empty after discretization")
-    return max(vals)
+    return float(np.max(np.abs(res)))
 
 
 def verify(problem: Problem, y: GridFunction, tol: float) -> VerifyReport:
-    """Check boundary conditions and the stationarity residual against tol."""
+    """Check boundary conditions and the stationarity residual against tol.
+
+    The residual is the integrand's own, without multipliers, also for an
+    IsoProblem: a correct isoperimetric solution then reports passed = False.
+    The residual with the multipliers is Solution.residual_max, or the
+    column residual_column(problem, y, lam0, lam).
+    """
     grid = _require_grid(problem, y)
     boundary_ok = (y.values[0] == problem.alpha and y.values[-1] == problem.beta)
     ts = np.asarray(grid.points)
     ys = np.asarray(y.values)
-    col = residual_column(problem, y, enforce_boundaries=False)
-    residual_max = _interior_max(col)
+    residual_max = _interior_max(_interior_residual(problem, ts, ys))
     value = _functional_raw(problem.L, problem.u, ts, ys)
     return VerifyReport(
         boundary_ok=boundary_ok,
@@ -394,7 +405,12 @@ def _prepared_grid(problem: Problem) -> tuple[SampleGrid, np.ndarray]:
 def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution:
     """Newton iteration with backtracking on the gradient of the discretized
     functional, starting from the affine interpolant between the boundary
-    values. Boundary values are eliminated variables and are met exactly."""
+    values. Boundary values are eliminated variables and are met exactly.
+
+    tol bounds the gradient, not the reported residual_max: the gradient at
+    an interior point is about the residual times the step, so residual_max
+    can exceed tol when h is small.
+    """
     if not tol > 0:
         raise ParameterError(f"tol must be positive, got {tol!r}")
     if max_iter < 0:
@@ -403,6 +419,10 @@ def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution
     lag, u = problem.L, problem.u
     second = _second_partials(lag)
     ys = _affine_start(problem, ts)
+
+    def trial(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        z = _moved(ys, step, alpha)
+        return z, _grad_raw(lag, u, ts, z, checked=False)
 
     g = _grad_raw(lag, u, ts, ys)
     iterations = 0
@@ -415,33 +435,41 @@ def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution
         [step] = _solve_tridiagonal(*_hess_raw(second, u, ts, ys), -g)
         if not np.all(np.isfinite(step)):
             raise SingularSystemError("Newton step is not finite")
-        ys, g = _backtrack(lambda z: _grad_raw(lag, u, ts, z, checked=False),
-                           ys, step, g, tol)
+        ys, g = _backtrack(trial, g, tol, ys)
         iterations += 1
 
-    yfn = GridFunction(grid, tuple(float(v) for v in ys))
-    col = residual_column(problem, yfn)
+    yfn = GridFunction(grid, ys.tolist())
+    res = _interior_residual(problem, ts, ys)
     return Solution(
         y=yfn,
         functional_value=_functional_raw(lag, u, ts, ys),
-        residual_max=_interior_max(col),
+        residual_max=_interior_max(res),
         iterations=iterations,
     )
 
 
-def _backtrack(grad_of, ys: np.ndarray, step: np.ndarray, g: np.ndarray,
-               tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Halve the step until the squared gradient norm decreases."""
-    phi0 = 0.5 * float(g @ g)
+def _moved(ys: np.ndarray, step: np.ndarray, alpha: float) -> np.ndarray:
+    """ys with alpha * step added to its interior values."""
+    trial = ys.copy()
+    trial[1:-1] += alpha * step
+    return trial
+
+
+def _backtrack(trial, phi: np.ndarray, tol: float, ys: np.ndarray):
+    """Halve alpha from 1 until the squared norm of the system decreases.
+
+    trial(alpha) returns the trial point and the system's value there; the
+    first accepted pair is returned. A stalled search raises
+    IterationLimitError carrying ys, the iterate it started from.
+    """
+    phi0 = 0.5 * float(phi @ phi)
     alpha = 1.0
     while alpha >= 1e-12:
-        trial = ys.copy()
-        trial[1:-1] += alpha * step
-        gt = grad_of(trial)
-        if np.all(np.isfinite(gt)):
-            phi1 = 0.5 * float(gt @ gt)
-            if phi1 <= phi0 * (1.0 - 1e-4 * alpha) or float(np.max(np.abs(gt))) <= tol:
-                return trial, gt
+        point, phit = trial(alpha)
+        if np.all(np.isfinite(phit)):
+            phi1 = 0.5 * float(phit @ phit)
+            if phi1 <= phi0 * (1.0 - 1e-4 * alpha) or float(np.max(np.abs(phit))) <= tol:
+                return point, phit
         alpha *= 0.5
     raise IterationLimitError(
         "line search stalled before reaching the tolerance",
@@ -538,6 +566,11 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
         cons = _functional_raw(iso.G, w, ts, z, checked=checked) - iso.K
         return np.concatenate([gl - lam_val * gg, [cons]])
 
+    def trial(alpha: float) -> tuple[tuple[np.ndarray, float], np.ndarray]:
+        z = _moved(ys, step, alpha)
+        lam_try = lam_g + alpha * dlam
+        return (z, lam_try), system(z, lam_try, checked=False)
+
     phi = system(ys, lam_g, checked=True)
     iterations = 0
     while float(np.max(np.abs(phi))) > tol:
@@ -551,47 +584,30 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
         diag_g, off_g = _hess_raw(second_g, w, ts, ys)
         step, dlam = _bordered_step(diag_l - lam_g * diag_g,
                                     off_l - lam_g * off_g, gg, phi)
-        accepted = False
-        phi0 = 0.5 * float(phi @ phi)
-        alpha = 1.0
-        while alpha >= 1e-12:
-            trial = ys.copy()
-            trial[1:-1] += alpha * step
-            lam_try = lam_g + alpha * dlam
-            phit = system(trial, lam_try, checked=False)
-            if np.all(np.isfinite(phit)):
-                phi1 = 0.5 * float(phit @ phit)
-                if (phi1 <= phi0 * (1.0 - 1e-4 * alpha)
-                        or float(np.max(np.abs(phit))) <= tol):
-                    ys, lam_g, phi = trial, lam_try, phit
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
+        try:
+            (ys, lam_g), phi = _backtrack(trial, phi, tol, ys)
+        except IterationLimitError:
             cons_gap = abs(float(phi[m]))
             if cons_gap > tol and float(np.max(np.abs(gg))) <= max(tol, 1e-12):
                 raise InfeasibleConstraintError(
                     f"constraint value is insensitive to the trajectory but "
-                    f"misses its target by {cons_gap:.3e}")
-            raise IterationLimitError(
-                "line search stalled before reaching the tolerance",
-                last=tuple(float(v) for v in ys))
+                    f"misses its target by {cons_gap:.3e}") from None
+            raise
         iterations += 1
 
-    yfn = GridFunction(grid, tuple(float(v) for v in ys))
-    g_col = residual_column(iso.constraint_problem(), yfn)
-    g_side_max = _interior_max(g_col)
+    yfn = GridFunction(grid, ys.tolist())
+    g_side_max = _interior_max(_interior(w, _residual_raw(iso.G, w, ts, ys)))
     if g_side_max <= tol:
         lam0, lam_out, normal = 0.0, 1.0, False
     else:
         # the augmented system solves in gradient scaling; convert to the
         # residual convention, which differs by the factor w/u
         lam0, lam_out, normal = 1.0, lam_g * w / u, True
-    col = residual_column(iso, yfn, lam0=lam0, lam=lam_out)
+    res = _interior_residual(iso, ts, ys, lam0, lam_out)
     return Solution(
         y=yfn,
         functional_value=_functional_raw(iso.L, u, ts, ys),
-        residual_max=_interior_max(col),
+        residual_max=_interior_max(res),
         iterations=iterations,
         lam=lam_out,
         lam0=lam0,

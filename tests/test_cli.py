@@ -115,6 +115,15 @@ class TestSolve:
         assert "iterations = 1" in cp.stdout
         assert len(out.read_text().splitlines()) == 100_002
 
+    def test_too_fine_step_is_input_error(self, tmp_path: Path):
+        prob = tmp_path / "classic.prob"
+        prob.write_text(CLASSIC)
+        cp = run_cli("solve", str(prob), "--h", "1e-12", timeout=60)
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr == ("error: step h=1e-12 needs more than 10000000 "
+                             "grid points; use a larger step\n")
+
     def test_deterministic_output(self, tmp_path: Path):
         prob = tmp_path / "iso.prob"
         prob.write_text(ISO)
@@ -232,6 +241,16 @@ class TestEpideriv:
         assert _join_negative_values(argv) == [
             "solve", "p.txt", "--out=-1e5", "--max-iter=-3",
             "--tol=1e-8", "-2", "--", "-1", "--h", "-x"]
+
+    def test_non_finite_direction_is_input_error(self, tmp_path: Path):
+        fcsv = tmp_path / "f.csv"
+        fcsv.write_text("t,value\n0,1\n1,2\n")
+        for u in ("nan", "inf", "-inf"):
+            cp = run_cli("epideriv", "points 0 1", "--f", str(fcsv),
+                         "--t", "0", f"--u={u}")
+            assert cp.returncode == 2, u
+            assert cp.stdout == ""
+            assert cp.stderr == f"error: direction u must be finite, got {u}\n"
 
     def test_scale_from_file(self, tmp_path: Path):
         scale = tmp_path / "scale.ts"

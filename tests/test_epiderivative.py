@@ -258,13 +258,14 @@ def test_epidifferentiability_zero_direction():
 def test_pl_csv_round_trip():
     import io
 
-    from tsvar import read_pl_csv, write_pl_csv
+    from tsvar import GridFunction, SampleGrid, read_grid_csv, write_grid_csv
 
     rng = random.Random(88)
     fbar = random_pl(rng)
+    flags = (False,) * len(fbar.breakpoints)
     buf = io.StringIO()
-    write_pl_csv(fbar, buf)
-    back = read_pl_csv(io.StringIO(buf.getvalue()))
+    write_grid_csv(GridFunction(SampleGrid(fbar.breakpoints, flags), fbar.values), buf)
+    back = extend(read_grid_csv(io.StringIO(buf.getvalue())))
     assert back.breakpoints == fbar.breakpoints
     assert back.values == fbar.values
 
@@ -275,3 +276,13 @@ def test_liminf_params_respects_supplied_step():
     # 0.125 already clears the kink at t = 1, so no shrinkage is needed
     assert k == 0
     assert epiderivative_liminf(VEE, 0.5, 1.0, h0, k) == pytest.approx(-1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+def test_non_finite_direction_rejected(u):
+    fbar = PLFunction((0.0, 1.0), (1.0, 2.0))
+    for call in (lambda: epiderivative_closed(fbar, 0.0, u),
+                 lambda: liminf_params(fbar, 0.0, u),
+                 lambda: epiderivative_liminf(fbar, 0.0, u, 0.5, 3)):
+        with pytest.raises(ParameterError, match="direction u must be finite"):
+            call()

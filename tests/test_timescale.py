@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import probe_points, rho_oracle, scales, sigma_oracle
-from tsvar import Segment, TimeScale, grid_from_points, parse_timescale
+from tsvar import Segment, TimeScale, grid_from_points, parse_timescale, timescale
 from tsvar.errors import (
     DegenerateScaleError,
     DomainError,
@@ -288,3 +288,22 @@ def test_discretize_endpoints_exact(scale):
         assert scale.contains(p)
         if flag:
             assert scale.sigma(p) == p and scale.rho(p) == p
+
+
+class TestGridBudget:
+    def test_too_fine_step_is_refused_before_building(self):
+        with pytest.raises(ParameterError, match="more than 10000000 grid points"):
+            UNIT.discretize(1e-12)
+
+    def test_step_ratio_overflowing_to_inf(self):
+        with pytest.raises(ParameterError, match="grid points"):
+            UNIT.discretize(1e-320)
+
+    def test_budget_counts_every_segment(self, monkeypatch):
+        monkeypatch.setattr(timescale, "MAX_GRID_POINTS", 12)
+        # 11 points on [0, 1] and one isolated point: at the budget
+        assert len(UNIT_PLUS_POINT.discretize(0.1)) == 12
+        with pytest.raises(ParameterError):
+            UNIT_PLUS_POINT.discretize(0.09)
+        with pytest.raises(ParameterError):
+            TimeScale.of_points(*range(13)).discretize(1.0)

@@ -598,3 +598,45 @@ class TestVerify:
         report = verify(p, trajectory(p, lambda t: t + 0.5), tol=1e-8)
         assert not report.boundary_ok
         assert not report.passed
+
+
+class TestOneGridPerProblem:
+    @pytest.fixture
+    def discretize_calls(self, monkeypatch):
+        calls = []
+        original = TimeScale.discretize
+
+        def spy(scale, h):
+            calls.append(h)
+            return original(scale, h)
+
+        monkeypatch.setattr(TimeScale, "discretize", spy)
+        return calls
+
+    def test_solve_verify_and_residual_discretize_once(self, discretize_calls):
+        p = classical(L=Lagrangian.from_text("v^2 + y^2"), h=0.01)
+        sol = solve(p)
+        verify(p, sol.y, tol=1e-8)
+        residual_column(p, sol.y)
+        assert discretize_calls == [0.01]
+        assert sol.y.grid is p.discretized()
+
+    def test_solve_iso_and_verify_discretize_once(self, discretize_calls):
+        iso = IsoProblem(scale=UNIT, u=1.0, L=V2, alpha=0.0, beta=0.0, h=0.01,
+                         G=Lagrangian.from_text("y"), w=1.0, K=1 / 6)
+        sol = solve_iso(iso)
+        verify(iso, sol.y, tol=1e-8)
+        assert discretize_calls == [0.01]
+
+    def test_equal_grid_of_another_problem_is_accepted(self):
+        p = classical(h=0.02)
+        y = trajectory(classical(h=0.02), lambda t: t)
+        assert y.grid is not p.discretized()
+        assert verify(p, y, tol=1e-8).passed
+
+    def test_mismatch_names_both_sizes(self):
+        p = classical(h=0.02)
+        y = trajectory(classical(h=0.04), lambda t: t)
+        with pytest.raises(GridMismatchError, match="has 26 points but the "
+                           "discretized grid has 51"):
+            residual_column(p, y)
