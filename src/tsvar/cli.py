@@ -281,11 +281,12 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
 
 def _cmd_residual(ns: argparse.Namespace) -> int:
     problem = parse_problem_file(Path(ns.file).read_text(), h_override=ns.h)
+    # the trajectory is read inline so that its copy of the grid is freed
+    # before the output is formatted; the problem keeps the grid it checked
     with open(ns.y) as fh:
-        yfn = read_grid_csv(fh)
-    col = residual_column(problem, yfn, enforce_boundaries=False)
+        col = residual_column(problem, read_grid_csv(fh), enforce_boundaries=False)
     lines = ["t,residual"]
-    for t, r in zip(yfn.grid.points, col):
+    for t, r in zip(problem.discretized().points, col):
         lines.append(f"{_fmt(t)},{'' if r is None else _fmt(r)}")
     _emit("\n".join(lines) + "\n", ns.out)
     return 0

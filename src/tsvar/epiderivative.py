@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+
 from .calculus import GridFunction
 from .errors import DomainError, ParameterError, PointNotInSetError
 
@@ -229,4 +230,3 @@ def contingent_cone_epi(fbar: PLFunction, t: float, level: float) -> EpiCone:
         slope_right=math.inf if sr is None else sr,
         interior=level > ft,
     )
-

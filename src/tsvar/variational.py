@@ -420,6 +420,7 @@ def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution
     second = _second_partials(lag)
     ys = _affine_start(problem, ts)
 
+    # the line search's trial at alpha along the current iterate's step
     def trial(alpha: float) -> tuple[np.ndarray, np.ndarray]:
         z = _moved(ys, step, alpha)
         return z, _grad_raw(lag, u, ts, z, checked=False)
@@ -566,6 +567,7 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
         cons = _functional_raw(iso.G, w, ts, z, checked=checked) - iso.K
         return np.concatenate([gl - lam_val * gg, [cons]])
 
+    # the line search's trial at alpha along the current iterate's step
     def trial(alpha: float) -> tuple[tuple[np.ndarray, float], np.ndarray]:
         z = _moved(ys, step, alpha)
         lam_try = lam_g + alpha * dlam

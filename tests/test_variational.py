@@ -9,6 +9,7 @@ from tsvar import (
     IsoProblem,
     Lagrangian,
     Problem,
+    Segment,
     TimeScale,
     delta_deriv,
     el_residual,
@@ -598,6 +599,39 @@ class TestVerify:
         report = verify(p, trajectory(p, lambda t: t + 0.5), tol=1e-8)
         assert not report.boundary_ok
         assert not report.passed
+
+
+class TestResidualColumnReference:
+    """residual_column against the per-point loop it replaced. The
+    arithmetic is the same, so the values must be equal, not close."""
+
+    @pytest.mark.parametrize("u, w", [(1.0, 1.0), (-1.0, 2.0), (2.0, -0.5)])
+    def test_matches_per_point_loop(self, u, w):
+        from tsvar.variational import _residual_raw
+
+        scale = TimeScale.from_segments(
+            [Segment(0.0, 1.0), Segment(1.5, 1.5), Segment(2.0, 3.0)])
+        iso = IsoProblem(scale=scale, u=u, L=Lagrangian.from_text("v^2 + t*y^2"),
+                         alpha=0.0, beta=1.0, h=0.1,
+                         G=Lagrangian.from_text("y*v + y^3"), w=w, K=0.0)
+        y = GridFunction.sample(iso.discretized(),
+                                lambda t: t / 3 + 0.7 * t * (3 - t))
+        ts, ys = np.asarray(y.grid.points), np.asarray(y.values)
+        res_l = _residual_raw(iso.L, u, ts, ys)
+        res_g = _residual_raw(iso.G, w, ts, ys)
+
+        def at(d, values, i):
+            # aligned to grid index 0 for d > 0 and to grid index 2 for d < 0
+            return float(values[i] if d > 0 else values[i - 2])
+
+        n = len(ts)
+        plain = [None] * n
+        combined = [None] * n
+        for i in range(2, n - 2):
+            plain[i] = at(u, res_l, i)
+            combined[i] = 0.5 * at(u, res_l, i) - 1.25 * at(w, res_g, i)
+        assert residual_column(iso, y) == plain
+        assert residual_column(iso, y, lam0=0.5, lam=1.25) == combined
 
 
 class TestOneGridPerProblem:
