@@ -9,10 +9,12 @@ readable.
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import TextIO
 
 from .calculus import (
     delta_deriv,
@@ -234,13 +236,12 @@ def _load_scale(arg: str) -> TimeScale:
 
 # -- output helpers ----------------------------------------------------------------
 
-def _solution_csv(problem: Problem, sol: Solution) -> str:
+def _write_solution_csv(problem: Problem, sol: Solution, out: TextIO) -> None:
     col = residual_column(problem, sol.y, lam0=sol.lam0, lam=sol.lam)
-    lines = ["t,y,residual"]
+    out.write("t,y,residual\n")
     for t, yv, r in zip(sol.y.grid.points, sol.y.values, col):
         rtxt = "" if r is None else _fmt(r)
-        lines.append(f"{_fmt(t)},{_fmt(yv)},{rtxt}")
-    return "\n".join(lines) + "\n"
+        out.write(f"{_fmt(t)},{_fmt(yv)},{rtxt}\n")
 
 
 def _summary(sol: Solution) -> str:
@@ -256,15 +257,15 @@ def _summary(sol: Solution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(csv_text: str, out: str | None, summary: str | None = None) -> None:
+@contextmanager
+def _csv_out(out: str | None) -> Iterator[TextIO]:
+    """The --out file, or stdout. Rows are written as they are formatted, so
+    the whole CSV text of a fine grid is never held in memory."""
     if out:
-        Path(out).write_text(csv_text)
-        if summary:
-            sys.stdout.write(summary)
+        with open(out, "w") as fh:
+            yield fh
     else:
-        sys.stdout.write(csv_text)
-        if summary:
-            sys.stderr.write(summary)
+        yield sys.stdout
 
 
 # -- command handlers ------------------------------------------------------------------
@@ -275,7 +276,10 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
         sol = solve_iso(problem, tol=ns.tol, max_iter=ns.max_iter)
     else:
         sol = solve(problem, tol=ns.tol, max_iter=ns.max_iter)
-    _emit(_solution_csv(problem, sol), ns.out, _summary(sol))
+    with _csv_out(ns.out) as fh:
+        _write_solution_csv(problem, sol, fh)
+    # stdout stays machine readable when the CSV goes there
+    (sys.stdout if ns.out else sys.stderr).write(_summary(sol))
     return 0
 
 
@@ -285,10 +289,10 @@ def _cmd_residual(ns: argparse.Namespace) -> int:
     # before the output is formatted; the problem keeps the grid it checked
     with open(ns.y) as fh:
         col = residual_column(problem, read_grid_csv(fh), enforce_boundaries=False)
-    lines = ["t,residual"]
-    for t, r in zip(problem.discretized().points, col):
-        lines.append(f"{_fmt(t)},{'' if r is None else _fmt(r)}")
-    _emit("\n".join(lines) + "\n", ns.out)
+    with _csv_out(ns.out) as fh:
+        fh.write("t,residual\n")
+        for t, r in zip(problem.discretized().points, col):
+            fh.write(f"{_fmt(t)},{'' if r is None else _fmt(r)}\n")
     return 0
 
 
@@ -313,9 +317,8 @@ def _cmd_calc(ns: argparse.Namespace) -> int:
         f = read_grid_csv(fh, scale=scale)
     if ns.op in ("deriv", "nabla"):
         result = delta_deriv(f) if ns.op == "deriv" else nabla_deriv(f)
-        buf = io.StringIO()
-        write_grid_csv(result, buf)
-        _emit(buf.getvalue(), ns.out)
+        with _csv_out(ns.out) as fh:
+            write_grid_csv(result, fh)
         return 0
     lo, hi = f.grid.points[0], f.grid.points[-1]
     if ns.op == "int":

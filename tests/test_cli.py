@@ -300,6 +300,44 @@ class TestCalc:
         assert cp.returncode == 2
 
 
+class TestOutFile:
+    """--out receives the CSV that goes to stdout without it; only the solve
+    summary is left on stdout."""
+
+    def _same_csv(self, tmp_path: Path, *args: str):
+        """Run args with and without --out; return both runs."""
+        plain = run_cli(*args)
+        assert plain.returncode == 0, plain.stderr
+        out = tmp_path / "out.csv"
+        cp = run_cli(*args, "--out", str(out))
+        assert cp.returncode == 0, cp.stderr
+        assert out.read_bytes() == plain.stdout.encode()
+        assert cp.stderr == ""
+        return cp, plain
+
+    def test_solve(self, tmp_path: Path):
+        prob = tmp_path / "classic.prob"
+        prob.write_text(CLASSIC.replace("1e-3", "0.05"))
+        cp, plain = self._same_csv(tmp_path, "solve", str(prob))
+        assert cp.stdout == plain.stderr
+        assert cp.stdout.startswith("functional_value = ")
+
+    def test_residual(self, tmp_path: Path):
+        prob = tmp_path / "classic.prob"
+        prob.write_text(CLASSIC.replace("1e-3", "0.25"))
+        ycsv = tmp_path / "y.csv"
+        ycsv.write_text("t,value\n0,0\n0.25,0.0625\n0.5,0.25\n0.75,0.5625\n1,1\n")
+        cp, _ = self._same_csv(tmp_path, "residual", str(prob), "--y", str(ycsv))
+        assert cp.stdout == ""
+
+    def test_calc_deriv(self, tmp_path: Path):
+        fcsv = tmp_path / "f.csv"
+        fcsv.write_text("t,value\n" + "\n".join(f"{k},{k * k}" for k in range(5)) + "\n")
+        cp, _ = self._same_csv(tmp_path, "calc", "deriv", "points 0 1 2 3 4",
+                               "--f", str(fcsv))
+        assert cp.stdout == ""
+
+
 class TestNonFiniteProblemValues:
     """nan, inf and overflowing literals are malformed input (exit 2), not a
     numerical failure; one test per family of problem-file keys."""
