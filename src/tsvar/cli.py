@@ -1,6 +1,7 @@
 """Command-line front end: solve, residual, epideriv and calc commands.
 
-Exit codes: 0 success, 1 usage error, 2 malformed input, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 malformed input, 3 numerical failure
+(running out of memory included).
 Errors go to stderr only; CSV output goes to --out or stdout. When the CSV
 goes to stdout, the solve summary moves to stderr so stdout stays machine
 readable.
@@ -288,7 +289,13 @@ def _cmd_residual(ns: argparse.Namespace) -> int:
     # the trajectory is read inline so that its copy of the grid is freed
     # before the output is formatted; the problem keeps the grid it checked
     with open(ns.y) as fh:
-        col = residual_column(problem, read_grid_csv(fh), enforce_boundaries=False)
+        try:
+            col = residual_column(problem, read_grid_csv(fh), enforce_boundaries=False)
+        except GridMismatchError as err:
+            raise GridMismatchError(
+                f"trajectory CSV has {err.points} points but the discretized "
+                f"grid has {err.grid_points}; t columns must match the grid "
+                "exactly") from None
     with _csv_out(ns.out) as fh:
         fh.write("t,residual\n")
         for t, r in zip(problem.discretized().points, col):
@@ -411,6 +418,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except _NUMERIC_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
+        return 3
+    except MemoryError as err:
+        detail = " ".join(str(err).split())
+        print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
         return 3
 
 

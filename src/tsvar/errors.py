@@ -55,7 +55,14 @@ class BoundaryMismatchError(TsvarError):
 
 
 class GridMismatchError(TsvarError):
-    """Sampled data does not live on the expected grid."""
+    """Sampled data does not live on the expected grid; carries both point
+    counts when they are known."""
+
+    def __init__(self, message: str, points: int | None = None,
+                 grid_points: int | None = None):
+        super().__init__(message)
+        self.points = points
+        self.grid_points = grid_points
 
 
 class SingularSystemError(TsvarError):

@@ -202,15 +202,90 @@ _SINGULAR = "Newton matrix is singular at the current iterate"
 
 # numpy has no banded solver, and scipy.linalg.solve_banded is kept out on
 # purpose: importing scipy.linalg costs 0.26-0.4 s and about 27 MB of RSS,
-# far more than a whole small solve. A Python loop over floats is O(m).
+# far more than a whole small solve. A definite system with at least
+# _CR_MIN_UNKNOWNS unknowns is solved by cyclic reduction, log2(m) levels of
+# numpy slicing; anything else by the pivoting loop, a Python loop over
+# floats that is O(m) and stays the fallback for indefinite or singular
+# systems.
+
+# Cyclic reduction costs mostly a fixed overhead per level, so below about
+# 300 unknowns the loop is faster (CHANGES.md has the timings); the
+# threshold keeps a margin over that crossover, which moves with the machine.
+_CR_MIN_UNKNOWNS = 512
+
+
+def _cyclic_reduction(diag: np.ndarray, off: np.ndarray,
+                      rhs: tuple[np.ndarray, ...]) -> np.ndarray | None:
+    """Solve T x = r for each r in rhs by odd-even cyclic reduction, with T
+    the symmetric tridiagonal matrix with the given bands; one row of the
+    result per right-hand side.
+
+    Each level eliminates the even-numbered unknowns, which do not couple
+    to each other, and leaves a tridiagonal system in the odd-numbered
+    ones. That factors P T P^T = L D L^T without pivoting, which is stable
+    for a definite T (Buzbee, Golub & Nielson 1970; Golub & Van Loan ch. 4).
+    So it returns None, and leaves the system to the pivoting loop, when
+    there are fewer than _CR_MIN_UNKNOWNS unknowns or when a pivot at some
+    level does not have the sign of T[0, 0]. T is padded to 2^k - 1 rows
+    with identity rows.
+    """
+    m = diag.size
+    if m < _CR_MIN_UNKNOWNS or not diag[0] != 0.0:
+        return None
+    sign = math.copysign(1.0, diag[0])  # reduce -T when T is negative definite
+    n = (1 << m.bit_length()) - 1
+    # row i reads e[i] x[i - 1] + d[i] x[i] + e[i + 1] x[i + 1], with
+    # e[0] = e[n] = 0
+    d = np.ones(n)
+    d[:m] = sign * diag
+    e = np.zeros(n + 1)
+    e[1:m] = sign * off
+    k = len(rhs)
+    r = np.zeros((k, n))
+    r[:, :m] = rhs
+    r *= sign
+    if k == 1:
+        r = r[0]  # one right-hand side runs on 1-D slices, which are cheaper
+    levels = []
+    with np.errstate(all="ignore"):  # a non-finite result is the caller's check
+        while True:
+            piv = d[0::2]
+            if not piv.min() > 0.0:
+                return None
+            if piv.size == 1:
+                break
+            left, right = e[1:-1:2], e[2::2]  # odd rows' even neighbours
+            a, c = left / piv[:-1], right / piv[1:]
+            levels.append((piv, a, c, r[..., 0::2]))
+            d = d[1::2] - a * left - c * right
+            r = r[..., 1::2] - a * r[..., :-1:2] - c * r[..., 2::2]
+            e = -(e[0::2] * e[1::2]) / piv
+        x = r / piv
+        for piv, a, c, r_even in reversed(levels):
+            x_even = r_even / piv
+            x_even[..., :-1] -= a * x
+            x_even[..., 1:] -= c * x
+            full = np.empty(x.shape[:-1] + (2 * x.shape[-1] + 1,))
+            full[..., 0::2] = x_even
+            full[..., 1::2] = x
+            x = full
+    return x[..., :m].reshape(k, m)
+
+
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
                        *rhs: np.ndarray) -> list[np.ndarray]:
     """Solve T x = r for each r in rhs, where T is the symmetric tridiagonal
-    matrix with the given bands.
+    matrix with the given bands: by cyclic reduction when it applies, else
+    by the pivoting loop."""
+    x = _cyclic_reduction(diag, off, rhs)
+    return list(x) if x is not None else _solve_pivoting(diag, off, *rhs)
 
-    Gaussian elimination with partial pivoting in the row order of LAPACK
-    gtsv: a row interchange fills in a second superdiagonal. A zero pivot
-    raises SingularSystemError.
+
+def _solve_pivoting(diag: np.ndarray, off: np.ndarray,
+                    *rhs: np.ndarray) -> list[np.ndarray]:
+    """Solve T x = r for each r in rhs by Gaussian elimination with partial
+    pivoting in the row order of LAPACK gtsv: a row interchange fills in a
+    second superdiagonal. A zero pivot raises SingularSystemError.
     """
     d = diag.tolist()
     dl = off.tolist()  # the subdiagonal; read only
@@ -276,7 +351,7 @@ def _interior_residual(problem: Problem, ts: np.ndarray, ys: np.ndarray,
                        lam: float | None = None) -> np.ndarray:
     """Residual on the doubly truncated interior; with multipliers, the
     combined residual lam0 * (L side) - lam * (constraint side)."""
-    if lam is not None and not isinstance(problem, IsoProblem):
+    if (lam0 is not None or lam is not None) and not isinstance(problem, IsoProblem):
         raise ParameterError("multipliers are only meaningful for IsoProblem")
     res = _interior(problem.u, _residual_raw(problem.L, problem.u, ts, ys))
     if lam is None:
@@ -290,10 +365,10 @@ def _interior_residual(problem: Problem, ts: np.ndarray, ys: np.ndarray,
 def _require_grid(problem: Problem, y: GridFunction) -> SampleGrid:
     grid = problem.discretized()
     if y.grid is not grid and y.grid.points != grid.points:
+        n, n_grid = len(y.grid.points), len(grid.points)
         raise GridMismatchError(
-            f"trajectory CSV has {len(y.grid.points)} points but the "
-            f"discretized grid has {len(grid.points)}; t columns must match "
-            "the grid exactly")
+            f"trajectory has {n} points but the discretized grid has "
+            f"{n_grid}; its points must equal the grid points", n, n_grid)
     return grid
 
 
@@ -361,19 +436,21 @@ def _interior_max(res: np.ndarray) -> float:
     return float(np.max(np.abs(res)))
 
 
-def verify(problem: Problem, y: GridFunction, tol: float) -> VerifyReport:
+def verify(problem: Problem, y: GridFunction, tol: float,
+           lam0: float | None = None, lam: float | None = None) -> VerifyReport:
     """Check boundary conditions and the stationarity residual against tol.
 
-    The residual is the integrand's own, without multipliers, also for an
-    IsoProblem: a correct isoperimetric solution then reports passed = False.
-    The residual with the multipliers is Solution.residual_max, or the
-    column residual_column(problem, y, lam0, lam).
+    Without multipliers the residual is the integrand's own, also for an
+    IsoProblem, where a correct solution then reports passed = False. With
+    the pair of a Solution, e.g. verify(iso, sol.y, tol, sol.lam0, sol.lam),
+    it is the combined residual lam0 * (L side) - lam * (constraint side);
+    multipliers on a plain Problem raise ParameterError.
     """
     grid = _require_grid(problem, y)
     boundary_ok = (y.values[0] == problem.alpha and y.values[-1] == problem.beta)
     ts = np.asarray(grid.points)
     ys = np.asarray(y.values)
-    residual_max = _interior_max(_interior_residual(problem, ts, ys))
+    residual_max = _interior_max(_interior_residual(problem, ts, ys, lam0, lam))
     value = _functional_raw(problem.L, problem.u, ts, ys)
     return VerifyReport(
         boundary_ok=boundary_ok,
@@ -482,8 +559,40 @@ def _bordered_step(diag: np.ndarray, off: np.ndarray, gg: np.ndarray,
     """Newton step (dy, dlam) of the bordered system
     [[H, -gg], [gg^T, 0]] (dy, dlam) = -phi, with H tridiagonal.
 
-    The (m + 1)-system is eliminated as a whole, so H itself may be
-    singular, as it is for an integrand linear in (y, v) at lam = 0.
+    When cyclic reduction solves H a = -phi_y and H b = gg (a definite H),
+    the step is their Schur complement combination: dlam from
+    gg^T (a + dlam b) = -phi_K, and dy = a + dlam b; for gg = 0 the
+    multiplier stays put. Otherwise the bordered system is eliminated as a
+    whole, which also works for a singular H.
+
+    When H = 0 the bordered matrix has rank 2, and the step is its
+    minimum-norm least-squares solution.
+    """
+    m = diag.size
+    if not (diag.any() or off.any()):
+        gn = float(gg @ gg)
+        if gn == 0.0:
+            raise SingularSystemError(_SINGULAR)
+        return -float(phi[m]) / gn * gg, float(gg @ phi[:m]) / gn
+    ab = _cyclic_reduction(diag, off, (-phi[:m], gg))
+    if ab is None:
+        step, dlam = _bordered_elimination(diag, off, gg, phi)
+    else:
+        a, b = ab
+        gb = float(gg @ b)
+        dlam = (-float(phi[m]) - float(gg @ a)) / gb if gb != 0.0 else 0.0
+        step = a + dlam * b
+    if not (np.all(np.isfinite(step)) and math.isfinite(dlam)):
+        raise SingularSystemError("Newton step is not finite")
+    return step, dlam
+
+
+def _bordered_elimination(diag: np.ndarray, off: np.ndarray, gg: np.ndarray,
+                          phi: np.ndarray) -> tuple[np.ndarray, float]:
+    """The bordered step by elimination of the (m + 1)-system as a whole,
+    so H itself may be singular, as it is for an integrand linear in (y, v)
+    at lam = 0. H must not be zero.
+
     Gaussian elimination with partial pivoting runs over the dy columns:
     the candidates for column k are the two rows left over from column
     k - 1 and row k + 1 of H, and the border row gg^T starts as a leftover.
@@ -493,18 +602,11 @@ def _bordered_step(diag: np.ndarray, off: np.ndarray, gg: np.ndarray,
     c != 0. So each column costs O(1), and the dense border costs a running
     sum of gg_j dy_j in the back substitution.
 
-    When H = 0 the bordered matrix has rank 2, and the step is its
-    minimum-norm least-squares solution. When the last pivot vanishes, as
-    it does for gg = 0 (a constant or abnormal constraint), the multiplier
-    stays put and dy solves H dy = -phi_y. A zero pivot in a dy column
-    raises SingularSystemError.
+    When the last pivot vanishes, as it does for gg = 0 (a constant or
+    abnormal constraint), the multiplier stays put and dy solves
+    H dy = -phi_y. A zero pivot in a dy column raises SingularSystemError.
     """
     m = diag.size
-    if not (diag.any() or off.any()):
-        gn = float(gg @ gg)
-        if gn == 0.0:
-            raise SingularSystemError(_SINGULAR)
-        return -float(phi[m]) / gn * gg, float(gg @ phi[:m]) / gn
     d = diag.tolist()
     o = off.tolist() + [0.0]
     g = gg.tolist() + [0.0, 0.0, 0.0]
@@ -534,10 +636,7 @@ def _bordered_step(diag: np.ndarray, off: np.ndarray, gg: np.ndarray,
         e0, e1, e2, c, el, rhs = pivots[k]
         x[k] = (rhs - e1 * x[k + 1] - e2 * x[k + 2] - c * tail - el * dlam) / e0
         tail += g[k + 2] * x[k + 2]
-    step = np.array(x[:m])
-    if not (np.all(np.isfinite(step)) and math.isfinite(dlam)):
-        raise SingularSystemError("Newton step is not finite")
-    return step, dlam
+    return np.array(x[:m]), dlam
 
 
 def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solution:

@@ -399,6 +399,30 @@ class TestUsage:
         assert "solve" in cp.stdout
 
 
+class TestOutOfMemory:
+    """Running out of memory is a numerical failure: exit 3 and one stderr
+    line, no traceback."""
+
+    @pytest.mark.parametrize("message, line", [
+        ("", "error: out of memory\n"),
+        ("Unable to allocate 74.5 GiB\nfor an array",
+         "error: out of memory: Unable to allocate 74.5 GiB for an array\n"),
+    ])
+    def test_solve_exits_3(self, tmp_path: Path, monkeypatch, capsys, message, line):
+        from tsvar import cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "solve", exhausted)
+        prob = tmp_path / "classic.prob"
+        prob.write_text(CLASSIC)
+        assert cli.main(["solve", str(prob)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line
+
+
 class TestProblemFileParsing:
     def parse(self, text, **kwargs):
         from tsvar.cli import parse_problem_file

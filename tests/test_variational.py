@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -419,6 +421,145 @@ class TestBandedNewtonStep:
             solve_iso(iso)
 
 
+class TestCyclicReduction:
+    """Cyclic reduction against the pivoting loop and np.linalg.solve on the
+    dense matrix, at and around the size where it takes over and around the
+    powers of two its padding rounds up to."""
+
+    CONVEX = Lagrangian.from_text("v^2 + (1 + t^2)*y^2 + exp(y/3)")
+
+    @staticmethod
+    def close(got, want, m):
+        # these Hessians have condition numbers of about 0.36 m^2, so eps * m^2
+        # bounds the forward error of any backward stable solve
+        scale = max(1.0, float(np.max(np.abs(want))))
+        tol = np.finfo(float).eps * m * m * scale
+        return float(np.max(np.abs(np.asarray(got) - want))) <= tol
+
+    @staticmethod
+    def case(lag, u, m, rng, scale=UNIT):
+        from tsvar.variational import _grad_raw, _hess_raw, _second_partials
+
+        ts = np.asarray(scale.discretize((scale.b - scale.a) / (m + 1)).points)
+        assert ts.size == m + 2
+        ys = rng.uniform(-1.0, 1.0, ts.size)
+        diag, off = _hess_raw(_second_partials(lag), u, ts, ys)
+        return diag, off, -_grad_raw(lag, u, ts, ys), rng.normal(size=m)
+
+    @pytest.mark.parametrize("u", [1.3, -0.7])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_around_threshold(self, offset, u):
+        from tsvar.variational import _CR_MIN_UNKNOWNS
+
+        self.check_definite(_CR_MIN_UNKNOWNS + offset, u)
+
+    @pytest.mark.parametrize("u", [1.3, -0.7])
+    @pytest.mark.parametrize("m", [1023, 1024, 1025, 3001])
+    def test_around_powers_of_two(self, m, u):
+        self.check_definite(m, u)
+
+    def check_definite(self, m, u):
+        from tsvar.variational import (
+            _CR_MIN_UNKNOWNS,
+            _cyclic_reduction,
+            _solve_pivoting,
+            _solve_tridiagonal,
+        )
+
+        diag, off, r1, r2 = self.case(self.CONVEX, u, m, np.random.default_rng(m))
+        # u^3 makes the Hessian of a convex integrand negative definite for u < 0
+        assert np.all(np.sign(diag) == np.sign(u))
+        got = _solve_tridiagonal(diag, off, r1, r2)
+        loop = _solve_pivoting(diag, off, r1, r2)
+        reduced = _cyclic_reduction(diag, off, (r1, r2))
+        if m < _CR_MIN_UNKNOWNS:
+            assert reduced is None
+            assert all(np.array_equal(x, y) for x, y in zip(got, loop))
+            return
+        assert reduced is not None and reduced.shape == (2, m)
+        assert all(np.array_equal(x, y) for x, y in zip(got, reduced))
+        dense = dense_tridiagonal(diag, off)
+        for x, want_loop, r in zip(got, loop, (r1, r2)):
+            assert self.close(x, want_loop, m)
+            assert self.close(x, np.linalg.solve(dense, r), m)
+
+    def test_indefinite_falls_back_to_loop(self):
+        # y^2 - v^2 on [0, 10] is past its first conjugate point (at pi), so
+        # the Hessian has eigenvalues of both signs
+        from tsvar.variational import (
+            _CR_MIN_UNKNOWNS,
+            _cyclic_reduction,
+            _solve_pivoting,
+            _solve_tridiagonal,
+        )
+
+        m = _CR_MIN_UNKNOWNS + 87
+        diag, off, r1, _ = self.case(TestBandedNewtonStep.INDEFINITE, 1.0, m,
+                                     np.random.default_rng(3),
+                                     scale=TimeScale.interval(0.0, 10.0))
+        dense = dense_tridiagonal(diag, off)
+        eig = np.linalg.eigvalsh(dense)
+        assert eig.min() < 0.0 < eig.max()
+        assert _cyclic_reduction(diag, off, (r1,)) is None
+        [got] = _solve_tridiagonal(diag, off, r1)
+        [loop] = _solve_pivoting(diag, off, r1)
+        assert np.array_equal(got, loop)
+        assert self.close(got, np.linalg.solve(dense, r1), m)
+
+    def test_zero_matrix_above_threshold_is_singular(self):
+        from tsvar.variational import _CR_MIN_UNKNOWNS, _solve_tridiagonal
+
+        m = _CR_MIN_UNKNOWNS + 1
+        with pytest.raises(SingularSystemError):
+            _solve_tridiagonal(np.zeros(m), np.zeros(m - 1), np.ones(m))
+
+    @pytest.mark.parametrize("u", [1.3, -0.7])
+    @pytest.mark.parametrize("zero_gradient", [False, True])
+    def test_schur_step_matches_elimination(self, monkeypatch, u, zero_gradient):
+        from tsvar import variational
+        from tsvar.variational import _CR_MIN_UNKNOWNS, _bordered_elimination
+
+        m = _CR_MIN_UNKNOWNS + 489
+        rng = np.random.default_rng(17)
+        diag, off, r1, r2 = self.case(self.CONVEX, u, m, rng)
+        gg = np.zeros(m) if zero_gradient else r2
+        phi = np.append(-r1, rng.uniform(-1.0, 1.0))
+
+        def not_called(*args):
+            raise AssertionError("a definite Hessian took the elimination")
+
+        monkeypatch.setattr(variational, "_bordered_elimination", not_called)
+        step, dlam = variational._bordered_step(diag, off, gg, phi)
+        want_step, want_dlam = _bordered_elimination(diag, off, gg, phi)
+        if zero_gradient:
+            assert dlam == want_dlam == 0.0
+        assert self.close(np.append(step, dlam), np.append(want_step, want_dlam), m)
+        dense = TestBandedNewtonStep.bordered_dense(diag, off, gg)
+        if not zero_gradient:
+            assert self.close(np.append(step, dlam), np.linalg.solve(dense, -phi), m)
+
+
+class TestScipyFree:
+    def test_solvers_above_threshold_do_not_import_scipy(self):
+        # cyclic reduction and the Schur step must stay numpy-only
+        code = """if True:
+            import sys
+            from tsvar import IsoProblem, Lagrangian, Problem, TimeScale, solve, solve_iso
+            from tsvar.variational import _CR_MIN_UNKNOWNS
+            unit = TimeScale.interval(0.0, 1.0)
+            h = 1.0 / (2 * _CR_MIN_UNKNOWNS)
+            solve(Problem(scale=unit, u=1.0, L=Lagrangian.from_text("v^2 + y^2"),
+                          alpha=0.0, beta=1.0, h=h))
+            solve_iso(IsoProblem(scale=unit, u=1.0, L=Lagrangian.from_text("v^2"),
+                                 alpha=0.0, beta=0.0, h=h,
+                                 G=Lagrangian.from_text("y"), w=1.0, K=1 / 6))
+            assert "scipy" not in sys.modules, sorted(
+                name for name in sys.modules if name.startswith("scipy"))
+        """
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+
+
 class TestFineGrid:
     def test_bump_converges_at_second_order(self):
         # the discrete bump is c * t(1-t) with c = 1/(1 - h^2), so the
@@ -600,6 +741,24 @@ class TestVerify:
         assert not report.boundary_ok
         assert not report.passed
 
+    def test_multipliers_pass_the_isoperimetric_bump(self):
+        iso = IsoProblem(scale=UNIT, u=1.0, L=V2, alpha=0.0, beta=0.0, h=0.01,
+                         G=Lagrangian.from_text("y"), w=1.0, K=1 / 6)
+        sol = solve_iso(iso)
+        with_pair = verify(iso, sol.y, 1e-6, sol.lam0, sol.lam)
+        assert with_pair.passed
+        assert with_pair.residual_max == sol.residual_max
+        # the default stays the integrand's own residual, about 4 * c
+        plain = verify(iso, sol.y, 1e-6)
+        assert not plain.passed
+        assert plain.residual_max == pytest.approx(4.0, rel=1e-3)
+
+    @pytest.mark.parametrize("pair", [(1.0, 0.5), (None, 0.5), (1.0, None)])
+    def test_multipliers_on_plain_problem_rejected(self, pair):
+        p = classical(h=0.02)
+        with pytest.raises(ParameterError, match="IsoProblem"):
+            verify(p, trajectory(p, lambda t: t), 1e-8, *pair)
+
 
 class TestResidualColumnReference:
     """residual_column against the per-point loop it replaced. The
@@ -674,3 +833,11 @@ class TestOneGridPerProblem:
         with pytest.raises(GridMismatchError, match="has 26 points but the "
                            "discretized grid has 51"):
             residual_column(p, y)
+
+    def test_mismatch_is_worded_for_library_callers(self):
+        p = classical(h=0.02)
+        y = trajectory(classical(h=0.04), lambda t: t)
+        with pytest.raises(GridMismatchError) as info:
+            verify(p, y, tol=1e-8)
+        assert "CSV" not in str(info.value) and "column" not in str(info.value)
+        assert (info.value.points, info.value.grid_points) == (26, 51)
