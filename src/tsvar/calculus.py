@@ -10,12 +10,20 @@ whenever the grid is the whole scale.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, TextIO
+from itertools import islice, repeat
+from typing import Callable, Iterable, Sequence, TextIO
+
+import numpy as np
 
 from .errors import DomainError, InputFormatError, ParameterError
-from .timescale import SampleGrid, TimeScale, grid_from_points
+from .timescale import (
+    SampleGrid,
+    TimeScale,
+    first_nonfinite,
+    grid_from_points,
+    readonly_array,
+)
 
 __all__ = [
     "GridFunction",
@@ -29,30 +37,47 @@ __all__ = [
     "read_grid_csv",
 ]
 
+# Lines the CSV reader parses at a time, and rows the writers format at a
+# time: large enough that numpy's cost per call vanishes, small enough that
+# a chunk's strings stay near a megabyte whatever the size of the file.
+CSV_CHUNK = 8192
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real values sampled at the points of a grid."""
+    """Real values sampled at the points of a grid.
+
+    values is a read-only float64 array, copied from the argument. Grid
+    functions compare equal when their grids and values do; they are
+    unhashable.
+    """
 
     grid: SampleGrid
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.values) != len(self.grid.points):
+        object.__setattr__(self, "values", readonly_array(self.values))
+        if self.values.size != len(self.grid.points):
             raise ParameterError(
-                f"value count {len(self.values)} does not match grid size "
+                f"value count {self.values.size} does not match grid size "
                 f"{len(self.grid.points)}")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ParameterError(f"grid values must be finite, got {v!r}")
+        bad = first_nonfinite(self.values)
+        if bad is not None:
+            raise ParameterError(f"grid values must be finite, got {bad!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.grid == other.grid and np.array_equal(self.values, other.values)
+
+    __hash__ = None  # type: ignore[assignment]
 
     @classmethod
     def sample(cls, grid: SampleGrid, fn: Callable[[float], float]) -> "GridFunction":
-        return cls(grid, tuple(float(fn(t)) for t in grid.points))
+        return cls(grid, [float(fn(t)) for t in grid.points.tolist()])
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.values.size
 
 
 def _require_points(f: GridFunction, n: int, what: str) -> None:
@@ -68,22 +93,23 @@ def _tail(grid: SampleGrid) -> SampleGrid:
     return SampleGrid(grid.points[1:], grid.dense_flags[1:])
 
 
+def _quotients(f: GridFunction) -> np.ndarray:
+    # an overflow gives inf, as it does in Python floats, and GridFunction
+    # rejects it
+    with np.errstate(over="ignore"):
+        return np.diff(f.values) / np.diff(f.grid.points)
+
+
 def delta_deriv(f: GridFunction) -> GridFunction:
     """Forward difference quotient, defined on all grid points but the last."""
     _require_points(f, 2, "the delta derivative")
-    pts, vals = f.grid.points, f.values
-    out = tuple((vals[i + 1] - vals[i]) / (pts[i + 1] - pts[i])
-                for i in range(len(pts) - 1))
-    return GridFunction(_head(f.grid), out)
+    return GridFunction(_head(f.grid), _quotients(f))
 
 
 def nabla_deriv(f: GridFunction) -> GridFunction:
     """Backward difference quotient, defined on all grid points but the first."""
     _require_points(f, 2, "the nabla derivative")
-    pts, vals = f.grid.points, f.values
-    out = tuple((vals[i] - vals[i - 1]) / (pts[i] - pts[i - 1])
-                for i in range(1, len(pts)))
-    return GridFunction(_tail(f.grid), out)
+    return GridFunction(_tail(f.grid), _quotients(f))
 
 
 def shift_sigma(f: GridFunction) -> GridFunction:
@@ -98,38 +124,52 @@ def shift_rho(f: GridFunction) -> GridFunction:
     return GridFunction(_tail(f.grid), f.values[:-1])
 
 
-def _grid_index(pts: tuple[float, ...], x: float, what: str) -> int:
-    i = bisect_left(pts, x)
-    if i < len(pts) and pts[i] == x:
+def _grid_index(pts: np.ndarray, x: float, what: str) -> int:
+    i = int(np.searchsorted(pts, x))
+    if i < pts.size and pts[i] == x:
         return i
     raise DomainError(f"{what}={x!r} is not a grid point")
 
 
-def delta_integral(f: GridFunction, c: float, d: float) -> float:
-    """Left-rectangle sum of f over [c, d): sum of f(t_i) * (t_{i+1} - t_i)."""
+def _between(f: GridFunction, c: float, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points and values of f from the grid point c to the grid point d."""
     ic = _grid_index(f.grid.points, c, "lower bound c")
     id_ = _grid_index(f.grid.points, d, "upper bound d")
     if ic > id_:
         raise DomainError(f"integration bounds out of order: c={c!r} > d={d!r}")
-    pts, vals = f.grid.points, f.values
-    return math.fsum(vals[i] * (pts[i + 1] - pts[i]) for i in range(ic, id_))
+    return f.grid.points[ic:id_ + 1], f.values[ic:id_ + 1]
+
+
+def delta_integral(f: GridFunction, c: float, d: float) -> float:
+    """Left-rectangle sum of f over [c, d): sum of f(t_i) * (t_{i+1} - t_i)."""
+    pts, vals = _between(f, c, d)
+    with np.errstate(over="ignore"):
+        return math.fsum((vals[:-1] * np.diff(pts)).tolist())
 
 
 def nabla_integral(f: GridFunction, c: float, d: float) -> float:
     """Right-rectangle sum of f over (c, d]: sum of f(t_i) * (t_i - t_{i-1})."""
-    ic = _grid_index(f.grid.points, c, "lower bound c")
-    id_ = _grid_index(f.grid.points, d, "upper bound d")
-    if ic > id_:
-        raise DomainError(f"integration bounds out of order: c={c!r} > d={d!r}")
-    pts, vals = f.grid.points, f.values
-    return math.fsum(vals[i] * (pts[i] - pts[i - 1]) for i in range(ic + 1, id_ + 1))
+    pts, vals = _between(f, c, d)
+    with np.errstate(over="ignore"):
+        return math.fsum((vals[1:] * np.diff(pts)).tolist())
+
+
+def write_rows(stream: TextIO, fmt: str, columns: Sequence[Sequence[float]],
+               start: int, stop: int) -> None:
+    """Write rows start..stop-1 of the columns (arrays or lists), one
+    `fmt % row` each. Rows are formatted and written a chunk at a time, so
+    the text of a fine grid is never held whole."""
+    for i in range(start, stop, CSV_CHUNK):
+        j = min(i + CSV_CHUNK, stop)
+        rows = zip(*[c[i:j].tolist() if isinstance(c, np.ndarray) else c[i:j]
+                     for c in columns])
+        stream.write("".join(map(fmt.__mod__, rows)))
 
 
 def write_grid_csv(f: GridFunction, stream: TextIO) -> None:
     """Write the `t,value` CSV form with lossless 17-significant-digit floats."""
     stream.write("t,value\n")
-    for t, v in zip(f.grid.points, f.values):
-        stream.write(f"{t:.17g},{v:.17g}\n")
+    write_rows(stream, "%.17g,%.17g\n", (f.grid.points, f.values), 0, len(f))
 
 
 def read_grid_csv(stream: Iterable[str], scale: TimeScale | None = None) -> GridFunction:
@@ -137,35 +177,57 @@ def read_grid_csv(stream: Iterable[str], scale: TimeScale | None = None) -> Grid
 
     With a scale, sample points are validated against it and approximation
     points are re-flagged; without one, all points are taken as exact.
+    The stream is read CSV_CHUNK lines at a time, so its whole text is never
+    held at once.
     """
-    lines = iter(enumerate(stream, start=1))
-    try:
-        _, header = next(lines)
-    except StopIteration:
-        raise InputFormatError("empty CSV: expected a `t,value` header", line=1) from None
+    lines = iter(stream)
+    header = next(lines, None)
+    if header is None:
+        raise InputFormatError("empty CSV: expected a `t,value` header", line=1)
     if header.strip() != "t,value":
         raise InputFormatError(
             f"bad CSV header {header.strip()!r}: expected 't,value'", line=1)
-    points: list[float] = []
-    values: list[float] = []
-    for lineno, raw in lines:
+    chunks = []
+    lineno = 2  # the line number of the chunk's first line
+    while block := list(islice(lines, CSV_CHUNK)):
+        chunks.append(_parse_rows(block, lineno))
+        lineno += len(block)
+    data = np.concatenate(chunks) if chunks else np.empty(0)
+    if not data.size:
+        raise InputFormatError("CSV contains a header but no rows")
+    points, values = data[0::2], data[1::2]
+    if scale is not None:
+        grid = grid_from_points(scale, points)
+    else:
+        grid = SampleGrid(points, np.zeros(points.size, dtype=bool))
+    return GridFunction(grid, values)
+
+
+def _parse_rows(block: list[str], lineno: int) -> np.ndarray:
+    """The numbers on a chunk of CSV lines that starts at line lineno, as
+    t0, value0, t1, value1, ...; blank lines are skipped."""
+    if list(map(str.count, block, repeat(","))).count(1) == len(block):
+        # one comma a line, so splitting the joined lines gives each line's
+        # two cells; numpy converts a str cell with float(), whitespace
+        # around it included
+        try:
+            return np.array(",".join(block).split(","), dtype=float)
+        except ValueError:
+            pass
+    # a blank line, a line without exactly two fields or a cell that is not
+    # a number: line by line, so the first error in line order is reported
+    numbers: list[float] = []
+    for k, raw in enumerate(block, start=lineno):
         line = raw.strip()
         if not line:
             continue
         cells = line.split(",")
         if len(cells) != 2:
             raise InputFormatError(
-                f"line {lineno}: expected two comma-separated fields", line=lineno)
+                f"line {k}: expected two comma-separated fields", line=k)
         try:
-            points.append(float(cells[0]))
-            values.append(float(cells[1]))
+            numbers += (float(cells[0]), float(cells[1]))
         except ValueError:
             raise InputFormatError(
-                f"line {lineno}: not a number in {line!r}", line=lineno) from None
-    if not points:
-        raise InputFormatError("CSV contains a header but no rows")
-    if scale is not None:
-        grid = grid_from_points(scale, points)
-    else:
-        grid = SampleGrid(tuple(points), tuple(False for _ in points))
-    return GridFunction(grid, tuple(values))
+                f"line {k}: not a number in {line!r}", line=k) from None
+    return np.array(numbers, dtype=float)

@@ -24,6 +24,7 @@ from .calculus import (
     nabla_integral,
     read_grid_csv,
     write_grid_csv,
+    write_rows,
 )
 from .epiderivative import (
     epiderivative_closed,
@@ -237,12 +238,22 @@ def _load_scale(arg: str) -> TimeScale:
 
 # -- output helpers ----------------------------------------------------------------
 
+def _write_with_residual(out: TextIO, columns: list, col: list[float | None]) -> None:
+    """One row per grid point: the columns, then the residual column col,
+    which is empty where it is None, on the first and the last two rows."""
+    n = len(col)
+    lo = min(2, n)
+    hi = max(lo, n - 2)  # col holds floats on rows lo..hi-1
+    edge = "%.17g," * len(columns) + "\n"
+    write_rows(out, edge, columns, 0, lo)
+    write_rows(out, edge[:-1] + "%.17g\n", columns + [col], lo, hi)
+    write_rows(out, edge, columns, hi, n)
+
+
 def _write_solution_csv(problem: Problem, sol: Solution, out: TextIO) -> None:
     col = residual_column(problem, sol.y, lam0=sol.lam0, lam=sol.lam)
     out.write("t,y,residual\n")
-    for t, yv, r in zip(sol.y.grid.points, sol.y.values, col):
-        rtxt = "" if r is None else _fmt(r)
-        out.write(f"{_fmt(t)},{_fmt(yv)},{rtxt}\n")
+    _write_with_residual(out, [sol.y.grid.points, sol.y.values], col)
 
 
 def _summary(sol: Solution) -> str:
@@ -298,8 +309,7 @@ def _cmd_residual(ns: argparse.Namespace) -> int:
                 "exactly") from None
     with _csv_out(ns.out) as fh:
         fh.write("t,residual\n")
-        for t, r in zip(problem.discretized().points, col):
-            fh.write(f"{_fmt(t)},{'' if r is None else _fmt(r)}\n")
+        _write_with_residual(fh, [problem.discretized().points], col)
     return 0
 
 
@@ -327,7 +337,7 @@ def _cmd_calc(ns: argparse.Namespace) -> int:
         with _csv_out(ns.out) as fh:
             write_grid_csv(result, fh)
         return 0
-    lo, hi = f.grid.points[0], f.grid.points[-1]
+    lo, hi = f.grid.a, f.grid.b
     if ns.op == "int":
         value = delta_integral(f, lo, hi)
     else:

@@ -97,7 +97,7 @@ def _check_direction(u: float) -> None:
 
 def extend(f: GridFunction) -> PLFunction:
     """Piecewise-linear extension of sampled values: chords across every gap."""
-    return PLFunction(f.grid.points, f.values)
+    return PLFunction(f.grid.points.tolist(), f.values.tolist())
 
 
 def epiderivative_closed(fbar: PLFunction, t: float, u: float) -> float:

@@ -13,6 +13,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     DegenerateScaleError,
     DomainError,
@@ -30,9 +32,10 @@ __all__ = [
     "parse_timescale",
 ]
 
-# A grid is a tuple of Python floats and one of flags, about 40 bytes a point,
-# so 10^7 points already take some 0.4 GB. discretize counts the points of a
-# grid before it builds any of them and refuses a grid larger than this.
+# A grid is a float64 array of points and a bool array of flags, about 9 bytes
+# a point, and a solve holds several arrays of its size, so 10^7 points already
+# take some 0.1 GB a copy. discretize counts the points of a grid before it
+# builds any of them and refuses a grid larger than this.
 MAX_GRID_POINTS = 10**7
 
 
@@ -228,20 +231,20 @@ class TimeScale:
             raise ParameterError(
                 f"step h={h!r} needs more than {MAX_GRID_POINTS} grid points; "
                 "use a larger step")
-        pts: list[float] = []
-        flags: list[bool] = []
+        pts = np.empty(len(counts) + sum(counts))
+        flags = np.zeros(pts.size, dtype=bool)
+        i = 0  # index of the segment's left endpoint
         for seg, n in zip(self.segments, counts):
-            pts.append(seg.left)
-            flags.append(False)
+            pts[i] = seg.left
             if seg.is_point:
+                i += 1
                 continue
-            span = seg.right - seg.left
-            for k in range(1, n):
-                pts.append(seg.left + span * (k / n))
-                flags.append(True)
-            pts.append(seg.right)
-            flags.append(False)
-        return SampleGrid(tuple(pts), tuple(flags))
+            # the same IEEE operations as left + span * (k / n), point by point
+            pts[i + 1:i + n] = seg.left + (seg.right - seg.left) * (np.arange(1, n) / n)
+            flags[i + 1:i + n] = True
+            pts[i + n] = seg.right
+            i += n + 1
+        return SampleGrid(pts, flags)
 
 
 def _step_count(span: float, h: float) -> int:
@@ -285,37 +288,63 @@ def _intersect(a: Sequence[Segment], b: Sequence[Segment]) -> list[Segment]:
     return out
 
 
-@dataclass(frozen=True)
+def readonly_array(values, dtype=float) -> np.ndarray:
+    """A read-only copy of values as a numpy array of the given dtype."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+def first_nonfinite(arr: np.ndarray) -> float | None:
+    """The first element of arr that is nan or infinite, as a Python float."""
+    bad = ~np.isfinite(arr)
+    return float(arr[np.argmax(bad)]) if bad.any() else None
+
+
+@dataclass(frozen=True, eq=False)
 class SampleGrid:
     """Strictly increasing sample points; dense_flags marks approximation points
-    introduced by subdividing an interval (segment endpoints are never flagged)."""
+    introduced by subdividing an interval (segment endpoints are never flagged).
 
-    points: tuple[float, ...]
-    dense_flags: tuple[bool, ...]
+    Both are read-only numpy arrays (float64 and bool), copied from the
+    arguments. Grids compare equal when both arrays do; they are unhashable.
+    """
+
+    points: np.ndarray
+    dense_flags: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(float(p) for p in self.points))
-        if not self.points:
+        object.__setattr__(self, "points", readonly_array(self.points))
+        object.__setattr__(self, "dense_flags", readonly_array(self.dense_flags, bool))
+        pts = self.points
+        if not pts.size:
             raise ParameterError("a sample grid needs at least one point")
-        if len(self.points) != len(self.dense_flags):
+        if pts.size != self.dense_flags.size:
             raise ParameterError("points and dense_flags must have equal length")
-        for p in self.points:
-            if not math.isfinite(p):
-                raise ParameterError(f"grid points must be finite, got {p!r}")
-        for p, q in zip(self.points, self.points[1:]):
-            if not p < q:
-                raise ParameterError("grid points must be strictly increasing")
+        bad = first_nonfinite(pts)
+        if bad is not None:
+            raise ParameterError(f"grid points must be finite, got {bad!r}")
+        if not np.all(pts[:-1] < pts[1:]):
+            raise ParameterError("grid points must be strictly increasing")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (np.array_equal(self.points, other.points)
+                and np.array_equal(self.dense_flags, other.dense_flags))
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.points.size
 
     @property
     def a(self) -> float:
-        return self.points[0]
+        return float(self.points[0])
 
     @property
     def b(self) -> float:
-        return self.points[-1]
+        return float(self.points[-1])
 
 
 def grid_from_points(scale: TimeScale, points: Sequence[float]) -> SampleGrid:
@@ -325,20 +354,27 @@ def grid_from_points(scale: TimeScale, points: Sequence[float]) -> SampleGrid:
     present exactly. Points strictly inside an interval are flagged as
     approximation points.
     """
-    present = set(points)
-    for seg in scale.segments:
-        if seg.left not in present or seg.right not in present:
-            raise DomainError(
-                f"grid must contain every segment endpoint; "
-                f"[{seg.left}, {seg.right}] is not fully represented")
-    flags: list[bool] = []
-    for p in points:
-        i = scale._segment_index(p)
-        if i is None:
-            raise DomainError(f"grid point {p!r} does not belong to the time scale")
-        seg = scale.segments[i]
-        flags.append(seg.left < p < seg.right)
-    return SampleGrid(tuple(points), tuple(flags))
+    pts = np.asarray(points, dtype=float)
+    lefts = np.array([seg.left for seg in scale.segments])
+    rights = np.array([seg.right for seg in scale.segments])
+    # the segment whose left endpoint is the last one at or below each point
+    idx = np.maximum(np.searchsorted(lefts, pts, side="right") - 1, 0)
+    left, right = lefts[idx], rights[idx]
+    inside = (left <= pts) & (pts <= right)  # false for nan
+    has_left = np.zeros(lefts.size, dtype=bool)
+    has_left[idx[pts == left]] = True
+    has_right = np.zeros(lefts.size, dtype=bool)
+    has_right[idx[pts == right]] = True
+    missing = ~(has_left & has_right)
+    if missing.any():
+        seg = scale.segments[int(np.argmax(missing))]
+        raise DomainError(
+            f"grid must contain every segment endpoint; "
+            f"[{seg.left}, {seg.right}] is not fully represented")
+    if not inside.all():
+        p = float(pts[np.argmax(~inside)])
+        raise DomainError(f"grid point {p!r} does not belong to the time scale")
+    return SampleGrid(pts, (left < pts) & (pts < right))
 
 
 def parse_timescale(text: str) -> TimeScale:

@@ -349,22 +349,26 @@ def _interior(u: float, values: np.ndarray) -> np.ndarray:
 def _interior_residual(problem: Problem, ts: np.ndarray, ys: np.ndarray,
                        lam0: float | None = None,
                        lam: float | None = None) -> np.ndarray:
-    """Residual on the doubly truncated interior; with multipliers, the
-    combined residual lam0 * (L side) - lam * (constraint side)."""
+    """Residual on the doubly truncated interior; with the multiplier pair,
+    the combined residual lam0 * (L side) - lam * (constraint side)."""
     if (lam0 is not None or lam is not None) and not isinstance(problem, IsoProblem):
         raise ParameterError("multipliers are only meaningful for IsoProblem")
+    if (lam0 is None) != (lam is None):
+        raise ParameterError(
+            "give both multipliers lam0 and lam, or neither: "
+            f"got lam0={lam0!r}, lam={lam!r}")
     res = _interior(problem.u, _residual_raw(problem.L, problem.u, ts, ys))
     if lam is None:
         return res
     res_g = _interior(problem.w, _residual_raw(problem.G, problem.w, ts, ys))
-    return (1.0 if lam0 is None else lam0) * res - lam * res_g
+    return lam0 * res - lam * res_g
 
 
 # -- structural checks ------------------------------------------------------------
 
 def _require_grid(problem: Problem, y: GridFunction) -> SampleGrid:
     grid = problem.discretized()
-    if y.grid is not grid and y.grid.points != grid.points:
+    if y.grid is not grid and not np.array_equal(y.grid.points, grid.points):
         n, n_grid = len(y.grid.points), len(grid.points)
         raise GridMismatchError(
             f"trajectory has {n} points but the discretized grid has "
@@ -372,11 +376,15 @@ def _require_grid(problem: Problem, y: GridFunction) -> SampleGrid:
     return grid
 
 
+def _boundaries_ok(problem: Problem, y: GridFunction) -> bool:
+    return (float(y.values[0]), float(y.values[-1])) == (problem.alpha, problem.beta)
+
+
 def _require_boundaries(problem: Problem, y: GridFunction) -> None:
-    if y.values[0] != problem.alpha or y.values[-1] != problem.beta:
+    if not _boundaries_ok(problem, y):
         raise BoundaryMismatchError(
-            f"boundary values ({y.values[0]!r}, {y.values[-1]!r}) do not match "
-            f"the prescribed ({problem.alpha!r}, {problem.beta!r})")
+            f"boundary values ({float(y.values[0])!r}, {float(y.values[-1])!r}) "
+            f"do not match the prescribed ({problem.alpha!r}, {problem.beta!r})")
 
 
 # -- public operations ---------------------------------------------------------------
@@ -385,9 +393,7 @@ def functional_value(problem: Problem, y: GridFunction) -> float:
     """Value of the direction-scaled functional along a trajectory."""
     _require_grid(problem, y)
     _require_boundaries(problem, y)
-    ts = np.asarray(y.grid.points)
-    ys = np.asarray(y.values)
-    return _functional_raw(problem.L, problem.u, ts, ys)
+    return _functional_raw(problem.L, problem.u, y.grid.points, y.values)
 
 
 def el_residual(problem: Problem, y: GridFunction) -> GridFunction:
@@ -402,28 +408,26 @@ def el_residual(problem: Problem, y: GridFunction) -> GridFunction:
     n = len(grid.points)
     if n < 3:
         raise DegenerateScaleError("the residual needs at least three grid points")
-    ts = np.asarray(grid.points)
-    ys = np.asarray(y.values)
-    res = _residual_raw(problem.L, problem.u, ts, ys)
+    res = _residual_raw(problem.L, problem.u, grid.points, y.values)
     if problem.u > 0:
         sub = SampleGrid(grid.points[:-2], grid.dense_flags[:-2])
     else:
         sub = SampleGrid(grid.points[2:], grid.dense_flags[2:])
-    return GridFunction(sub, res.tolist())
+    return GridFunction(sub, res)
 
 
 def residual_column(problem: Problem, y: GridFunction,
                     lam0: float | None = None, lam: float | None = None,
                     enforce_boundaries: bool = True) -> list[float | None]:
     """Residual aligned to the full grid: values on the doubly truncated
-    interior, None elsewhere. With multipliers the column is the combined
-    residual lam0 * (L side) - lam * (constraint side)."""
+    interior, None elsewhere. With the multiplier pair the column is the
+    combined residual lam0 * (L side) - lam * (constraint side); a lone
+    multiplier raises ParameterError."""
     grid = _require_grid(problem, y)
     if enforce_boundaries:
         _require_boundaries(problem, y)
     n = len(grid.points)
-    res = _interior_residual(problem, np.asarray(grid.points),
-                             np.asarray(y.values), lam0, lam)
+    res = _interior_residual(problem, grid.points, y.values, lam0, lam)
     col: list[float | None] = [None] * n
     col[2:n - 2] = res.tolist()
     return col
@@ -443,13 +447,13 @@ def verify(problem: Problem, y: GridFunction, tol: float,
     Without multipliers the residual is the integrand's own, also for an
     IsoProblem, where a correct solution then reports passed = False. With
     the pair of a Solution, e.g. verify(iso, sol.y, tol, sol.lam0, sol.lam),
-    it is the combined residual lam0 * (L side) - lam * (constraint side);
-    multipliers on a plain Problem raise ParameterError.
+    it is the combined residual lam0 * (L side) - lam * (constraint side).
+    Multipliers on a plain Problem, and a lone multiplier, raise
+    ParameterError.
     """
     grid = _require_grid(problem, y)
-    boundary_ok = (y.values[0] == problem.alpha and y.values[-1] == problem.beta)
-    ts = np.asarray(grid.points)
-    ys = np.asarray(y.values)
+    boundary_ok = _boundaries_ok(problem, y)
+    ts, ys = grid.points, y.values
     residual_max = _interior_max(_interior_residual(problem, ts, ys, lam0, lam))
     value = _functional_raw(problem.L, problem.u, ts, ys)
     return VerifyReport(
@@ -476,7 +480,7 @@ def _prepared_grid(problem: Problem) -> tuple[SampleGrid, np.ndarray]:
         raise DegenerateScaleError(
             "doubly truncated interior is empty after discretization; "
             "use a finer step or a larger scale")
-    return grid, np.asarray(grid.points)
+    return grid, grid.points
 
 
 def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution:
@@ -509,14 +513,14 @@ def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution
             raise IterationLimitError(
                 f"no convergence after {max_iter} Newton steps "
                 f"(stationarity norm {float(np.max(np.abs(g))):.3e})",
-                last=tuple(float(v) for v in ys))
+                last=tuple(ys.tolist()))
         [step] = _solve_tridiagonal(*_hess_raw(second, u, ts, ys), -g)
         if not np.all(np.isfinite(step)):
             raise SingularSystemError("Newton step is not finite")
         ys, g = _backtrack(trial, g, tol, ys)
         iterations += 1
 
-    yfn = GridFunction(grid, ys.tolist())
+    yfn = GridFunction(grid, ys)
     res = _interior_residual(problem, ts, ys)
     return Solution(
         y=yfn,
@@ -551,7 +555,7 @@ def _backtrack(trial, phi: np.ndarray, tol: float, ys: np.ndarray):
         alpha *= 0.5
     raise IterationLimitError(
         "line search stalled before reaching the tolerance",
-        last=tuple(float(v) for v in ys))
+        last=tuple(ys.tolist()))
 
 
 def _bordered_step(diag: np.ndarray, off: np.ndarray, gg: np.ndarray,
@@ -679,7 +683,7 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
             raise IterationLimitError(
                 f"no convergence after {max_iter} Newton steps "
                 f"(system norm {float(np.max(np.abs(phi))):.3e})",
-                last=tuple(float(v) for v in ys))
+                last=tuple(ys.tolist()))
         gg = _grad_raw(iso.G, w, ts, ys)
         diag_l, off_l = _hess_raw(second_l, u, ts, ys)
         diag_g, off_g = _hess_raw(second_g, w, ts, ys)
@@ -696,7 +700,7 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
             raise
         iterations += 1
 
-    yfn = GridFunction(grid, ys.tolist())
+    yfn = GridFunction(grid, ys)
     g_side_max = _interior_max(_interior(w, _residual_raw(iso.G, w, ts, ys)))
     if g_side_max <= tol:
         lam0, lam_out, normal = 0.0, 1.0, False

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 from hypothesis import strategies as st
 
-from tsvar import PLFunction, Segment, TimeScale
+from tsvar import PLFunction, Segment, TimeScale, timescale
+from tsvar.errors import DomainError, InputFormatError, ParameterError
 
 EXPRESSION_SUITE = [
     "v^2",
@@ -112,3 +114,82 @@ def discrete_scales(draw, min_points: int = 3, max_points: int = 8) -> TimeScale
 def grid_values(draw, n: int) -> tuple[float, ...]:
     return tuple(draw(st.lists(
         st.floats(min_value=-2.0, max_value=2.0), min_size=n, max_size=n)))
+
+
+# -- the per-point loops the array-backed data path replaced ----------------------
+
+def reference_discretize(scale: TimeScale, h: float) -> tuple[list[float], list[bool]]:
+    """Points and flags of scale.discretize(h), built one point at a time."""
+    pts: list[float] = []
+    flags: list[bool] = []
+    for seg in scale.segments:
+        pts.append(seg.left)
+        flags.append(False)
+        if seg.is_point:
+            continue
+        n = timescale._step_count(seg.right - seg.left, h)
+        span = seg.right - seg.left
+        for k in range(1, n):
+            pts.append(seg.left + span * (k / n))
+            flags.append(True)
+        pts.append(seg.right)
+        flags.append(False)
+    return pts, flags
+
+
+def reference_read_grid_csv(stream, scale: TimeScale | None = None
+                            ) -> tuple[list[float], list[bool], list[float]]:
+    """Points, flags and values of read_grid_csv(stream, scale), read line by
+    line and checked point by point; raises the same errors."""
+    lines = iter(enumerate(stream, start=1))
+    try:
+        _, header = next(lines)
+    except StopIteration:
+        raise InputFormatError("empty CSV: expected a `t,value` header", line=1) from None
+    if header.strip() != "t,value":
+        raise InputFormatError(
+            f"bad CSV header {header.strip()!r}: expected 't,value'", line=1)
+    points: list[float] = []
+    values: list[float] = []
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != 2:
+            raise InputFormatError(
+                f"line {lineno}: expected two comma-separated fields", line=lineno)
+        try:
+            points.append(float(cells[0]))
+            values.append(float(cells[1]))
+        except ValueError:
+            raise InputFormatError(
+                f"line {lineno}: not a number in {line!r}", line=lineno) from None
+    if not points:
+        raise InputFormatError("CSV contains a header but no rows")
+    if scale is None:
+        flags = [False] * len(points)
+    else:
+        present = set(points)
+        for seg in scale.segments:
+            if seg.left not in present or seg.right not in present:
+                raise DomainError(
+                    f"grid must contain every segment endpoint; "
+                    f"[{seg.left}, {seg.right}] is not fully represented")
+        flags = []
+        for p in points:
+            i = scale._segment_index(p)
+            if i is None:
+                raise DomainError(f"grid point {p!r} does not belong to the time scale")
+            seg = scale.segments[i]
+            flags.append(seg.left < p < seg.right)
+    for p in points:
+        if not math.isfinite(p):
+            raise ParameterError(f"grid points must be finite, got {p!r}")
+    for p, q in zip(points, points[1:]):
+        if not p < q:
+            raise ParameterError("grid points must be strictly increasing")
+    for v in values:
+        if not math.isfinite(v):
+            raise ParameterError(f"grid values must be finite, got {v!r}")
+    return points, flags, values

@@ -96,7 +96,7 @@ def test_criterion_04_isoperimetric_classical():
     iso = IsoProblem(scale=UNIT, u=1.0, L=V2, alpha=0.0, beta=0.0, h=1e-3,
                      G=Lagrangian.from_text("y"), w=1.0, K=1 / 6)
     sol = solve_iso(iso)
-    mid = sol.y.values[sol.y.grid.points.index(0.5)]
+    mid = sol.y.values[sol.y.grid.points.tolist().index(0.5)]
     ok = abs(mid - 0.25) <= 1e-3 and abs(sol.lam - 4.0) <= 1e-2
     report(4, ok, f"y(0.5)={mid:.6f}, lambda={sol.lam:.6f}")
 

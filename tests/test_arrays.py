@@ -1,0 +1,255 @@
+"""The array-backed data path against the per-point loops it replaced.
+
+Grids and samples are read-only float64 arrays. Discretization and the CSV
+reader perform the same IEEE operations as the loops in `helpers.py`, so the
+results must be equal element for element, and malformed input must raise
+the same error with the same message.
+"""
+
+from __future__ import annotations
+
+import io
+import math
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import reference_discretize, reference_read_grid_csv, scales
+from tsvar import (
+    GridFunction,
+    SampleGrid,
+    TimeScale,
+    calculus,
+    cli,
+    parse_timescale,
+    read_grid_csv,
+    write_grid_csv,
+)
+from tsvar.errors import DomainError, InputFormatError, ParameterError
+
+GOLDEN = Path(__file__).parent / "golden" / "inputs"
+# the mixed scale of the fine-grid benchmark and of the golden nabla case
+MIXED = "interval 0 1; points 1.5 2; interval 3 4"
+
+
+def _golden_problems():
+    for path in sorted(GOLDEN.glob("*.prob")):
+        if path.stem != "bad_expression":
+            yield path.stem, cli.parse_problem_file(path.read_text())
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestDiscretizeMatchesLoop:
+    @pytest.mark.parametrize("name, problem", list(_golden_problems()))
+    def test_golden_scales(self, name, problem):
+        grid = problem.scale.discretize(problem.h)
+        pts, flags = reference_discretize(problem.scale, problem.h)
+        assert grid.points.tolist() == pts
+        assert grid.dense_flags.tolist() == flags
+        assert _same_bits(grid.points, pts)
+
+    @pytest.mark.parametrize("literal, h", [
+        (MIXED, 2e-5),
+        ("interval 0 2", 1e-5),
+        ("interval 0 2; points 4", 0.3),
+        ("points 0 0.5 1; interval 2 4", 0.07),
+        ("interval -3.7 0.1; interval 0.2 9.9", 1 / 3),
+    ])
+    def test_fixed_scales(self, literal, h):
+        scale = parse_timescale(literal)
+        grid = scale.discretize(h)
+        pts, flags = reference_discretize(scale, h)
+        assert grid.points.tolist() == pts
+        assert grid.dense_flags.tolist() == flags
+        assert _same_bits(grid.points, pts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scales(), st.floats(min_value=1e-3, max_value=2.5))
+    def test_random_scales(self, scale, h):
+        grid = scale.discretize(h)
+        pts, flags = reference_discretize(scale, h)
+        assert grid.points.tolist() == pts
+        assert grid.dense_flags.tolist() == flags
+        assert _same_bits(grid.points, pts)
+
+
+def _outcome(read, text: str, scale):
+    """What a reader makes of text: its points, flags and values, or the
+    type, message and line of its error."""
+    try:
+        got = read(io.StringIO(text), scale)
+    except (InputFormatError, DomainError, ParameterError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+    if isinstance(got, GridFunction):
+        got = (got.grid.points.tolist(), got.grid.dense_flags.tolist(), got.values.tolist())
+    return got
+
+
+def _check_reader(text: str, scale, chunk: int) -> None:
+    with mock.patch.object(calculus, "CSV_CHUNK", chunk):
+        got = _outcome(read_grid_csv, text, scale)
+    ref = _outcome(reference_read_grid_csv, text, scale)
+    assert got == ref
+    if isinstance(got[0], list):
+        assert _same_bits(got[0], ref[0]) and _same_bits(got[2], ref[2])
+
+
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(min_value=-5, max_value=5).map(str),
+    st.sampled_from(["x", "", " ", "1_0", "1__0", " 2 ", "\t3\t", "1e400", "nan", "-inf",
+                     "Infinity", "0x10", "١٢", "+-1", ".5", "5.", "1e", "-0",
+                     "0.1 ", "1 2"]),
+)
+ROWS = st.one_of(
+    st.tuples(CELLS, CELLS).map(",".join),
+    CELLS,
+    st.lists(CELLS, min_size=3, max_size=3).map(",".join),
+    st.sampled_from(["", "  ", "\t", ","]),
+)
+
+
+class TestReadMatchesLoop:
+    @pytest.mark.parametrize("csv, literal", [
+        ("trajectory.csv", None),
+        ("trajectory_short.csv", None),
+        ("chord.csv", "interval 0 2; points 4"),
+        ("square.csv", "points 0 0.5 1; interval 2 4"),
+    ])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, calculus.CSV_CHUNK])
+    def test_golden_files(self, csv, literal, chunk):
+        text = (GOLDEN / csv).read_text()
+        scale = parse_timescale(literal) if literal else None
+        _check_reader(text, scale, chunk)
+
+    def test_fine_grid_file(self):
+        scale = parse_timescale(MIXED)
+        grid = scale.discretize(2e-5)
+        buf = io.StringIO()
+        write_grid_csv(GridFunction(grid, np.sin(grid.points) * 3.0), buf)
+        for s in (None, scale):
+            _check_reader(buf.getvalue(), s, calculus.CSV_CHUNK)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ROWS, max_size=8), st.sampled_from(["\n", "\r\n"]),
+           st.booleans(), st.sampled_from([1, 2, 3, 5, 8192]))
+    def test_random_lines(self, rows, end, final_newline, chunk):
+        text = "t,value\n" + end.join(rows) + (end if final_newline else "")
+        _check_reader(text, None, chunk)
+        _check_reader(text, TimeScale.of_points(0.0, 1.0), chunk)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scales(), st.floats(min_value=0.05, max_value=1.0), st.data())
+    def test_sampled_grids_with_faults(self, scale, h, data):
+        pts = reference_discretize(scale, h)[0]
+        vals = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(pts), max_size=len(pts)))
+        fmt = data.draw(st.sampled_from(["{!r},{!r}", "{:.17g},{:.17g}", " {} , {} "]))
+        lines = [fmt.format(t, v) for t, v in zip(pts, vals)]
+        fault = data.draw(st.sampled_from(
+            ["none", "blank", "junk", "drop", "swap", "stray", "nan"]))
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if fault == "blank":
+            lines.insert(i, "  ")
+        elif fault == "junk":
+            lines[i] = data.draw(ROWS)
+        elif fault == "drop":
+            del lines[i]
+        elif fault == "swap" and i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        elif fault == "stray":
+            lines.insert(i, f"{scale.b + 0.5!r},0")
+        elif fault == "nan":
+            lines[i] = data.draw(st.sampled_from([f"{pts[i]!r},nan", f"nan,{vals[i]!r}"]))
+        text = "t,value\n" + "\n".join(lines) + "\n"
+        chunk = data.draw(st.sampled_from([1, 2, 3, 8192]))
+        _check_reader(text, None, chunk)
+        _check_reader(text, scale, chunk)
+
+
+class TestReadOnlyArrays:
+    def setup_method(self):
+        self.grid = TimeScale.interval(0.0, 1.0).discretize(0.25)
+        self.f = GridFunction.sample(self.grid, math.sin)
+
+    def test_dtypes(self):
+        assert self.grid.points.dtype == np.float64
+        assert self.grid.dense_flags.dtype == np.bool_
+        assert self.f.values.dtype == np.float64
+
+    @pytest.mark.parametrize("field", ["points", "dense_flags", "values"])
+    def test_assignment_raises(self, field):
+        arr = getattr(self.f if field == "values" else self.grid, field)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[1]
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:] = arr[::-1]
+
+    def test_in_place_arithmetic_raises(self):
+        pts = self.grid.points
+        with pytest.raises(ValueError, match="read-only"):
+            pts += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(self.f.values, 2.0, out=self.f.values)
+        assert self.grid.points.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    def test_arguments_are_copied(self):
+        pts = np.array([0.0, 1.0, 2.0])
+        flags = np.array([False, True, False])
+        vals = np.array([3.0, 4.0, 5.0])
+        f = GridFunction(SampleGrid(pts, flags), vals)
+        pts[0], flags[1], vals[2] = -1.0, False, 9.0
+        assert f.grid.points.tolist() == [0.0, 1.0, 2.0]
+        assert f.grid.dense_flags.tolist() == [False, True, False]
+        assert f.values.tolist() == [3.0, 4.0, 5.0]
+        assert pts.flags.writeable  # the caller's arrays stay theirs
+
+    def test_equality(self):
+        same = TimeScale.interval(0.0, 1.0).discretize(0.25)
+        assert self.grid == same and not self.grid != same
+        assert self.grid != TimeScale.interval(0.0, 1.0).discretize(0.5)
+        assert self.grid != SampleGrid(self.grid.points, [True] * 5)
+        assert self.grid != "grid" and self.f != self.grid
+        assert self.f == GridFunction.sample(same, math.sin)
+        assert self.f != GridFunction.sample(same, math.cos)
+        assert self.f != GridFunction(SampleGrid(self.grid.points, [False] * 5), self.f.values)
+
+    def test_unhashable(self):
+        for obj in (self.grid, self.f):
+            with pytest.raises(TypeError, match="unhashable type"):
+                hash(obj)
+            with pytest.raises(TypeError, match="unhashable type"):
+                {obj}
+
+    def test_messages_show_python_floats(self):
+        with pytest.raises(ParameterError, match=r"^grid points must be finite, got inf$"):
+            SampleGrid(np.array([0.0, np.inf]), [False, False])
+        with pytest.raises(ParameterError, match=r"^grid values must be finite, got nan$"):
+            GridFunction(self.grid, np.array([0.0, 1.0, np.float64("nan"), 2.0, np.inf]))
+
+
+def test_reader_memory_stays_bounded(tmp_path):
+    """Reading a 200,001-row CSV from a file peaks well under the size of its
+    whole text in Python objects; a whole-file read would exceed the bound."""
+    grid = TimeScale.interval(0.0, 2.0).discretize(1e-5)
+    path = tmp_path / "y.csv"
+    with open(path, "w") as fh:
+        write_grid_csv(GridFunction(grid, np.cos(grid.points)), fh)
+    del grid
+    tracemalloc.start()
+    try:
+        with open(path) as fh:
+            f = read_grid_csv(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(f) == 200_001
+    assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MB"

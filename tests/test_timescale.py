@@ -156,23 +156,23 @@ class TestDiscretize:
     def test_purely_discrete_is_identity(self):
         scale = TimeScale.of_points(0, 1, 2)
         grid = scale.discretize(0.3)
-        assert grid.points == (0.0, 1.0, 2.0)
+        assert grid.points.tolist() == [0.0, 1.0, 2.0]
         assert not any(grid.dense_flags)
 
     def test_uniform_split(self):
         grid = UNIT.discretize(0.5)
-        assert grid.points == (0.0, 0.5, 1.0)
-        assert grid.dense_flags == (False, True, False)
+        assert grid.points.tolist() == [0.0, 0.5, 1.0]
+        assert grid.dense_flags.tolist() == [False, True, False]
 
     def test_per_segment_subdivision(self):
         grid = UNIT_PLUS_POINT.discretize(0.5)
-        assert grid.points == (0.0, 0.5, 1.0, 2.0)
-        assert grid.dense_flags == (False, True, False, False)
+        assert grid.points.tolist() == [0.0, 0.5, 1.0, 2.0]
+        assert grid.dense_flags.tolist() == [False, True, False, False]
 
     def test_idempotent_on_discrete_scales(self):
         scale = TimeScale.of_points(0.1, 0.7, 1.9)
         for h in (1.0, 0.01, 123.0):
-            assert scale.discretize(h).points == (0.1, 0.7, 1.9)
+            assert scale.discretize(h).points.tolist() == [0.1, 0.7, 1.9]
 
     def test_near_integer_ratio_does_not_degenerate(self):
         # span/h barely above 10 must still give 10 steps, not 11
@@ -194,7 +194,7 @@ class TestDiscretize:
 class TestGridFromPoints:
     def test_flags_recovered(self):
         grid = grid_from_points(UNIT_PLUS_POINT, [0.0, 0.25, 1.0, 2.0])
-        assert grid.dense_flags == (False, True, False, False)
+        assert grid.dense_flags.tolist() == [False, True, False, False]
 
     def test_missing_endpoint_rejected(self):
         with pytest.raises(DomainError):

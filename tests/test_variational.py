@@ -143,10 +143,10 @@ class TestResidual:
         p = classical(h=0.25)
         y = trajectory(p, lambda t: t)
         res = el_residual(p, y)
-        assert res.grid.points == y.grid.points[:-2]
+        assert res.grid.points.tolist() == y.grid.points[:-2].tolist()
         pn = classical(u=-1.0, h=0.25)
         resn = el_residual(pn, trajectory(pn, lambda t: t))
-        assert resn.grid.points == y.grid.points[2:]
+        assert resn.grid.points.tolist() == y.grid.points[2:].tolist()
 
     def test_residual_column_interior_only(self):
         p = Problem(scale=FIVE, u=1.0, L=V2, alpha=0.0, beta=1.0, h=1.0)
@@ -662,7 +662,7 @@ class TestSolveIso:
 
     def test_classical_multiplier(self):
         sol = solve_iso(self.iso_classical())
-        i = sol.y.grid.points.index(0.5)
+        i = sol.y.grid.points.tolist().index(0.5)
         assert sol.y.values[i] == pytest.approx(0.25, abs=1e-3)
         assert sol.lam == pytest.approx(4.0, abs=1e-2)
         assert sol.lam0 == 1.0
@@ -673,7 +673,7 @@ class TestSolveIso:
         # w < 0 builds the constraint side in the nabla direction; the
         # classical reduction flips the multiplier sign
         sol = solve_iso(self.iso_classical(w=-1.0))
-        i = sol.y.grid.points.index(0.5)
+        i = sol.y.grid.points.tolist().index(0.5)
         assert sol.y.values[i] == pytest.approx(0.25, abs=2e-3)
         assert sol.lam == pytest.approx(-4.0, abs=2e-2)
         assert sol.normal_flag is True
@@ -715,7 +715,7 @@ class TestSolveIso:
         iso = IsoProblem(scale=UNIT, u=-1.0, L=V2, alpha=0.0, beta=0.0,
                          h=1e-3, G=Lagrangian.from_text("y"), w=-1.0, K=1 / 6)
         sol = solve_iso(iso)
-        i = sol.y.grid.points.index(0.5)
+        i = sol.y.grid.points.tolist().index(0.5)
         assert sol.y.values[i] == pytest.approx(0.25, abs=2e-3)
         # L side: u*((d3 L)^nabla - d2 L) = 2y'' = -4c; G side: w*(0 - 1) = 1
         assert sol.lam == pytest.approx(-4.0, abs=2e-2)
@@ -752,6 +752,20 @@ class TestVerify:
         plain = verify(iso, sol.y, 1e-6)
         assert not plain.passed
         assert plain.residual_max == pytest.approx(4.0, rel=1e-3)
+
+    @pytest.mark.parametrize("lone", [{"lam0": 0.0}, {"lam0": 1.0}, {"lam": 4.0}])
+    def test_lone_multiplier_rejected(self, lone):
+        # a lone lam0 used to be dropped, so verify reported the L-side
+        # residual, about 4, as if no multiplier had been given
+        iso = IsoProblem(scale=UNIT, u=1.0, L=V2, alpha=0.0, beta=0.0, h=0.01,
+                         G=Lagrangian.from_text("y"), w=1.0, K=1 / 6)
+        sol = solve_iso(iso)
+        with pytest.raises(ParameterError, match="both multipliers lam0 and lam, or neither"):
+            verify(iso, sol.y, 1e-6, **lone)
+        with pytest.raises(ParameterError, match="both multipliers lam0 and lam, or neither"):
+            residual_column(iso, sol.y, **lone)
+        with pytest.raises(ParameterError, match="both multipliers lam0 and lam, or neither"):
+            residual_column(iso, sol.y, enforce_boundaries=False, **lone)
 
     @pytest.mark.parametrize("pair", [(1.0, 0.5), (None, 0.5), (1.0, None)])
     def test_multipliers_on_plain_problem_rejected(self, pair):
