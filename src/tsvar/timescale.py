@@ -33,9 +33,9 @@ __all__ = [
 ]
 
 # A grid is a float64 array of points and a bool array of flags, about 9 bytes
-# a point, and a solve holds several arrays of its size, so 10^7 points already
-# take some 0.1 GB a copy. discretize counts the points of a grid before it
-# builds any of them and refuses a grid larger than this.
+# a point, so 10^7 points take some 90 MB, and a solve holds several arrays of
+# that size. discretize counts the points of a grid before it builds any of
+# them and refuses a grid larger than this.
 MAX_GRID_POINTS = 10**7
 
 

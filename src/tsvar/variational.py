@@ -376,15 +376,15 @@ def _require_grid(problem: Problem, y: GridFunction) -> SampleGrid:
     return grid
 
 
-def _boundaries_ok(problem: Problem, y: GridFunction) -> bool:
-    return (float(y.values[0]), float(y.values[-1])) == (problem.alpha, problem.beta)
+def _ends(y: GridFunction) -> tuple[float, float]:
+    return float(y.values[0]), float(y.values[-1])
 
 
 def _require_boundaries(problem: Problem, y: GridFunction) -> None:
-    if not _boundaries_ok(problem, y):
+    if _ends(y) != (problem.alpha, problem.beta):
         raise BoundaryMismatchError(
-            f"boundary values ({float(y.values[0])!r}, {float(y.values[-1])!r}) "
-            f"do not match the prescribed ({problem.alpha!r}, {problem.beta!r})")
+            f"boundary values {_ends(y)!r} do not match "
+            f"the prescribed ({problem.alpha!r}, {problem.beta!r})")
 
 
 # -- public operations ---------------------------------------------------------------
@@ -452,7 +452,7 @@ def verify(problem: Problem, y: GridFunction, tol: float,
     ParameterError.
     """
     grid = _require_grid(problem, y)
-    boundary_ok = _boundaries_ok(problem, y)
+    boundary_ok = _ends(y) == (problem.alpha, problem.beta)
     ts, ys = grid.points, y.values
     residual_max = _interior_max(_interior_residual(problem, ts, ys, lam0, lam))
     value = _functional_raw(problem.L, problem.u, ts, ys)
