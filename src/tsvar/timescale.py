@@ -297,8 +297,8 @@ def readonly_array(values, dtype=float) -> np.ndarray:
 
 def first_nonfinite(arr: np.ndarray) -> float | None:
     """The first element of arr that is nan or infinite, as a Python float."""
-    bad = ~np.isfinite(arr)
-    return float(arr[np.argmax(bad)]) if bad.any() else None
+    finite = np.isfinite(arr)
+    return None if finite.all() else float(arr[np.argmin(finite)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,10 +321,13 @@ class SampleGrid:
             raise ParameterError("a sample grid needs at least one point")
         if pts.size != self.dense_flags.size:
             raise ParameterError("points and dense_flags must have equal length")
-        bad = first_nonfinite(pts)
-        if bad is not None:
-            raise ParameterError(f"grid points must be finite, got {bad!r}")
-        if not np.all(pts[:-1] < pts[1:]):
+        # strictly increasing between finite ends means finite throughout,
+        # and a nan fails every comparison; only a failure looks further
+        if not ((pts[:-1] < pts[1:]).all()
+                and math.isfinite(pts[0]) and math.isfinite(pts[-1])):
+            bad = first_nonfinite(pts)
+            if bad is not None:
+                raise ParameterError(f"grid points must be finite, got {bad!r}")
             raise ParameterError("grid points must be strictly increasing")
 
     def __eq__(self, other: object) -> bool:
@@ -355,26 +358,28 @@ def grid_from_points(scale: TimeScale, points: Sequence[float]) -> SampleGrid:
     approximation points.
     """
     pts = np.asarray(points, dtype=float)
-    lefts = np.array([seg.left for seg in scale.segments])
-    rights = np.array([seg.right for seg in scale.segments])
-    # the segment whose left endpoint is the last one at or below each point
-    idx = np.maximum(np.searchsorted(lefts, pts, side="right") - 1, 0)
-    left, right = lefts[idx], rights[idx]
-    inside = (left <= pts) & (pts <= right)  # false for nan
-    has_left = np.zeros(lefts.size, dtype=bool)
-    has_left[idx[pts == left]] = True
-    has_right = np.zeros(lefts.size, dtype=bool)
-    has_right[idx[pts == right]] = True
-    missing = ~(has_left & has_right)
+    ends = np.array([(seg.left, seg.right) for seg in scale.segments]).ravel()
+    # k counts the segment endpoints at or below each point. An odd k puts it
+    # in [left, right) of an interval; an even k between two segments, where
+    # only the endpoint just below it, ends[k - 1], belongs to the scale
+    # (for k = 0 that reads ends[-1] = b, which lies above the point)
+    k = np.searchsorted(ends, pts, side="right")
+    at_end = pts == ends[k - 1]
+    odd = (k & 1).astype(bool)
+    present = np.zeros(ends.size, dtype=bool)
+    present[k[at_end] - 1] = True
+    present[0::2] |= ends[0::2] == ends[1::2]  # a point's left end is its right
+    missing = ~(present[0::2] & present[1::2])
     if missing.any():
         seg = scale.segments[int(np.argmax(missing))]
         raise DomainError(
             f"grid must contain every segment endpoint; "
             f"[{seg.left}, {seg.right}] is not fully represented")
+    inside = odd | at_end
     if not inside.all():
-        p = float(pts[np.argmax(~inside)])
+        p = float(pts[np.argmin(inside)])
         raise DomainError(f"grid point {p!r} does not belong to the time scale")
-    return SampleGrid(pts, (left < pts) & (pts < right))
+    return SampleGrid(pts, odd & ~at_end)
 
 
 def parse_timescale(text: str) -> TimeScale:
