@@ -321,10 +321,7 @@ class SampleGrid:
             raise ParameterError("a sample grid needs at least one point")
         if pts.size != self.dense_flags.size:
             raise ParameterError("points and dense_flags must have equal length")
-        # strictly increasing between finite ends means finite throughout,
-        # and a nan fails every comparison; only a failure looks further
-        if not ((pts[:-1] < pts[1:]).all()
-                and math.isfinite(pts[0]) and math.isfinite(pts[-1])):
+        if not _is_grid(pts):
             bad = first_nonfinite(pts)
             if bad is not None:
                 raise ParameterError(f"grid points must be finite, got {bad!r}")
@@ -358,28 +355,59 @@ def grid_from_points(scale: TimeScale, points: Sequence[float]) -> SampleGrid:
     approximation points.
     """
     pts = np.asarray(points, dtype=float)
-    ends = np.array([(seg.left, seg.right) for seg in scale.segments]).ravel()
-    # k counts the segment endpoints at or below each point. An odd k puts it
-    # in [left, right) of an interval; an even k between two segments, where
-    # only the endpoint just below it, ends[k - 1], belongs to the scale
-    # (for k = 0 that reads ends[-1] = b, which lies above the point)
-    k = np.searchsorted(ends, pts, side="right")
-    at_end = pts == ends[k - 1]
-    odd = (k & 1).astype(bool)
-    present = np.zeros(ends.size, dtype=bool)
-    present[k[at_end] - 1] = True
-    present[0::2] |= ends[0::2] == ends[1::2]  # a point's left end is its right
-    missing = ~(present[0::2] & present[1::2])
-    if missing.any():
-        seg = scale.segments[int(np.argmax(missing))]
-        raise DomainError(
-            f"grid must contain every segment endpoint; "
-            f"[{seg.left}, {seg.right}] is not fully represented")
-    inside = odd | at_end
-    if not inside.all():
-        p = float(pts[np.argmin(inside)])
-        raise DomainError(f"grid point {p!r} does not belong to the time scale")
-    return SampleGrid(pts, odd & ~at_end)
+    if not _is_grid(pts):
+        _raise_for_non_grid(scale, pts)
+    ends = [x for seg in scale.segments for x in (seg.left, seg.right)]
+    # the points are sorted, so segment s holds the points from index j[2s]
+    # to index j[2s + 1] once both its endpoints are found there
+    j = np.searchsorted(pts, ends)
+    found = (pts[np.minimum(j, pts.size - 1)] == ends).tolist()
+    for s, seg in enumerate(scale.segments):
+        if not (found[2 * s] and found[2 * s + 1]):
+            raise _missing_endpoint(seg)
+    flags = np.zeros(pts.size, dtype=bool)
+    nxt = 0  # the first point not yet found in a segment
+    for lo, hi in zip(j[0::2].tolist(), j[1::2].tolist()):
+        if lo > nxt:
+            break
+        if hi > lo + 1:
+            flags[lo + 1:hi] = True
+        nxt = hi + 1
+    if nxt < pts.size:
+        raise _stray(float(pts[nxt]))
+    return SampleGrid(pts, flags)
+
+
+def _is_grid(pts: np.ndarray) -> bool:
+    """Whether pts is nonempty, finite and strictly increasing."""
+    # strictly increasing between finite ends means finite throughout, and
+    # a nan fails every comparison
+    return bool(pts.size and (pts[:-1] < pts[1:]).all()
+                and math.isfinite(pts[0]) and math.isfinite(pts[-1]))
+
+
+def _raise_for_non_grid(scale: TimeScale, pts: np.ndarray) -> None:
+    """Raise the first error of points that are not a grid, point by point,
+    in the order grid_from_points checks: a missing segment endpoint, then
+    the first point off the scale, then SampleGrid's own checks."""
+    present = set(pts.tolist())
+    for seg in scale.segments:
+        if seg.left not in present or seg.right not in present:
+            raise _missing_endpoint(seg)
+    for p in pts.tolist():
+        if not scale.contains(p):
+            raise _stray(p)
+    SampleGrid(pts, np.zeros(pts.size, dtype=bool))
+
+
+def _missing_endpoint(seg: Segment) -> DomainError:
+    return DomainError(
+        f"grid must contain every segment endpoint; "
+        f"[{seg.left}, {seg.right}] is not fully represented")
+
+
+def _stray(p: float) -> DomainError:
+    return DomainError(f"grid point {p!r} does not belong to the time scale")
 
 
 def parse_timescale(text: str) -> TimeScale:
