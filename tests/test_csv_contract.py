@@ -51,10 +51,10 @@ def _long(bad_line: int, bad_row: str) -> str:
     return "t,value\n" + "".join(rows)
 
 
-def _argv(command: str, path: str, long: bool) -> list[str]:
+def _argv(command: str, problem: str, path: str, long: bool) -> list[str]:
     if command == "residual":
         extra = ["--h", "1e-5"] if long else []
-        return ["residual", "PROBLEM", "--y", path, *extra]
+        return ["residual", problem, "--y", path, *extra]
     if command == "calc":
         return ["calc", "deriv", SCALE, "--f", path]
     return ["epideriv", SCALE, "--f", path, "--t", "0.5", "--u", "1"]
@@ -65,7 +65,7 @@ def _run(tmp_path, command: str, text: str, long: bool = False) -> tuple[int, st
     problem.write_text(PROBLEM)
     path = tmp_path / "y.csv"
     path.write_bytes(text.encode())
-    argv = [str(problem) if a == "PROBLEM" else a for a in _argv(command, str(path), long)]
+    argv = _argv(command, str(problem), str(path), long)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
