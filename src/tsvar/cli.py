@@ -1,7 +1,8 @@
 """Command-line front end: solve, residual, epideriv and calc commands.
 
-Exit codes: 0 success, 1 usage error, 2 malformed input, 3 numerical failure
-(running out of memory included).
+Exit codes: 0 success, 1 usage error, 2 malformed input (an input file that
+is not UTF-8 text included), 3 numerical failure (running out of memory
+included).
 Errors go to stderr only; CSV output goes to --out or stdout. When the CSV
 goes to stdout, the solve summary moves to stderr so stdout stays machine
 readable.
@@ -14,6 +15,7 @@ import math
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 from typing import TextIO
 
@@ -226,7 +228,7 @@ def _load_scale(arg: str) -> TimeScale:
     """A scale argument is a file path or an inline literal (';' separates lines)."""
     path = Path(arg)
     if path.exists():
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         if "[" in text:
             sections = _split_sections(text)
             if "timescale" not in sections:
@@ -283,7 +285,8 @@ def _csv_out(out: str | None) -> Iterator[TextIO]:
 # -- command handlers ------------------------------------------------------------------
 
 def _cmd_solve(ns: argparse.Namespace) -> int:
-    problem = parse_problem_file(Path(ns.file).read_text(), h_override=ns.h)
+    problem = parse_problem_file(Path(ns.file).read_text(encoding="utf-8"),
+                                 h_override=ns.h)
     if isinstance(problem, IsoProblem):
         sol = solve_iso(problem, tol=ns.tol, max_iter=ns.max_iter)
     else:
@@ -296,10 +299,11 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
 
 
 def _cmd_residual(ns: argparse.Namespace) -> int:
-    problem = parse_problem_file(Path(ns.file).read_text(), h_override=ns.h)
+    problem = parse_problem_file(Path(ns.file).read_text(encoding="utf-8"),
+                                 h_override=ns.h)
     # the trajectory is read inline so that its copy of the grid is freed
     # before the output is formatted; the problem keeps the grid it checked
-    with open(ns.y) as fh:
+    with open(ns.y, encoding="utf-8") as fh:
         try:
             col = residual_column(problem, read_grid_csv(fh), enforce_boundaries=False)
         except GridMismatchError as err:
@@ -315,7 +319,7 @@ def _cmd_residual(ns: argparse.Namespace) -> int:
 
 def _cmd_epideriv(ns: argparse.Namespace) -> int:
     scale = _load_scale(ns.scale)
-    with open(ns.f) as fh:
+    with open(ns.f, encoding="utf-8") as fh:
         f = read_grid_csv(fh, scale=scale)
     fbar = extend(f)
     closed = epiderivative_closed(fbar, ns.t, ns.u)
@@ -330,7 +334,7 @@ def _cmd_epideriv(ns: argparse.Namespace) -> int:
 
 def _cmd_calc(ns: argparse.Namespace) -> int:
     scale = _load_scale(ns.scale)
-    with open(ns.f) as fh:
+    with open(ns.f, encoding="utf-8") as fh:
         f = read_grid_csv(fh, scale=scale)
     if ns.op in ("deriv", "nabla"):
         result = delta_deriv(f) if ns.op == "deriv" else nabla_deriv(f)
@@ -348,6 +352,8 @@ def _cmd_calc(ns: argparse.Namespace) -> int:
 
 # -- entry point -------------------------------------------------------------------------
 
+# built once per process: a build costs more than a small command
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tsvar",
                      description="Variational calculus on time scales.")
@@ -425,6 +431,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as err:
+        # its byte position counts from the decoder's buffer, not the file
+        print(f"error: an input file is not UTF-8 text ({err.reason})", file=sys.stderr)
         return 2
     except _NUMERIC_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)

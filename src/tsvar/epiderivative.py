@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .calculus import GridFunction
 from .errors import DomainError, ParameterError, PointNotInSetError
+from .timescale import first_nonfinite, readonly_array
 
 __all__ = [
     "PLFunction",
@@ -35,19 +36,21 @@ class PLFunction:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "breakpoints",
-                           tuple(float(p) for p in self.breakpoints))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.breakpoints) < 2:
+        # checked as arrays, kept as tuples: the scalar queries bisect and
+        # index Python floats faster than numpy scalars
+        pts = readonly_array(self.breakpoints)
+        vals = readonly_array(self.values)
+        object.__setattr__(self, "breakpoints", tuple(pts.tolist()))
+        object.__setattr__(self, "values", tuple(vals.tolist()))
+        if pts.size < 2:
             raise ParameterError("a piecewise-linear function needs at least two breakpoints")
-        if len(self.values) != len(self.breakpoints):
+        if vals.size != pts.size:
             raise ParameterError("breakpoints and values must have equal length")
-        for p, q in zip(self.breakpoints, self.breakpoints[1:]):
-            if not p < q:
-                raise ParameterError("breakpoints must be strictly increasing")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ParameterError(f"values must be finite, got {v!r}")
+        if not (pts[:-1] < pts[1:]).all():  # also rejects nan; infinities pass
+            raise ParameterError("breakpoints must be strictly increasing")
+        bad = first_nonfinite(vals)
+        if bad is not None:
+            raise ParameterError(f"values must be finite, got {bad!r}")
 
     @property
     def a(self) -> float:
@@ -97,7 +100,7 @@ def _check_direction(u: float) -> None:
 
 def extend(f: GridFunction) -> PLFunction:
     """Piecewise-linear extension of sampled values: chords across every gap."""
-    return PLFunction(f.grid.points.tolist(), f.values.tolist())
+    return PLFunction(f.grid.points, f.values)
 
 
 def epiderivative_closed(fbar: PLFunction, t: float, u: float) -> float:

@@ -347,42 +347,33 @@ def _d(e: Expr, var: str) -> Expr:
 
 # -- evaluation ---------------------------------------------------------------------
 
-def evaluate(e: Expr, t: float, y: float, v: float) -> float:
-    """IEEE double evaluation; singular arguments raise EvaluationError."""
-    try:
-        return _ev(e, t, y, v)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+def evaluate(e: Expr, t: Any, y: Any, v: Any) -> float | np.ndarray:
+    """Value of e at a point (a float) or at arrays of points (an array).
+
+    A value is singular when it is nan or infinite; EvaluationError names
+    the first singular point.
+    """
+    out = evaluate_array(e, t, y, v)
+    finite = np.isfinite(out)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        t, y, v = (float(np.broadcast_to(a, out.shape).flat[i]) for a in (t, y, v))
         raise EvaluationError(
-            f"cannot evaluate expression at t={t!r}, y={y!r}, v={v!r}: {exc}",
-            t=t, y=y, v=v) from exc
+            f"cannot evaluate expression at t={t!r}, y={y!r}, v={v!r}: "
+            f"the value is {float(out.flat[i])!r}", t=t, y=y, v=v)
+    return float(out) if out.ndim == 0 else out
 
 
-def _ev(e: Expr, t: float, y: float, v: float) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return t if e.name == "t" else (y if e.name == "y" else v)
-    if isinstance(e, Neg):
-        return -_ev(e.arg, t, y, v)
-    if isinstance(e, Call):
-        return _MATH[e.func](_ev(e.arg, t, y, v))
-    lv = _ev(e.left, t, y, v)
-    rv = _ev(e.right, t, y, v)
-    if e.op == "+":
-        return lv + rv
-    if e.op == "-":
-        return lv - rv
-    if e.op == "*":
-        return lv * rv
-    if e.op == "/":
-        return lv / rv
-    return math.pow(lv, rv)
+def evaluate_array(e: Expr, t: Any, y: Any, v: Any) -> np.ndarray:
+    """Vectorized numpy evaluation; singular points yield nan or inf silently.
 
-
-def evaluate_array(e: Expr, t: Any, y: Any, v: Any) -> Any:
-    """Vectorized numpy evaluation; singular points yield nan or inf silently."""
+    The result is a float64 array with the broadcast shape of the arguments.
+    """
     with np.errstate(all="ignore"):
-        return _ev_arr(e, t, y, v)
+        out = _ev_arr(e, t, y, v)
+    if not isinstance(out, np.ndarray) or not out.ndim:  # a constant, or a point
+        return np.full(np.broadcast(t, y, v).shape, out)
+    return out
 
 
 def _ev_arr(e: Expr, t: Any, y: Any, v: Any) -> Any:

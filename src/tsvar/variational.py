@@ -21,7 +21,6 @@ from .calculus import GridFunction
 from .errors import (
     BoundaryMismatchError,
     DegenerateScaleError,
-    EvaluationError,
     GridMismatchError,
     InfeasibleConstraintError,
     IterationLimitError,
@@ -116,7 +115,7 @@ class VerifyReport:
     passed: bool
 
 
-# -- argument packing and checked evaluation -----------------------------------
+# -- argument packing ----------------------------------------------------------
 
 def _pack(u: float, ts: np.ndarray, ys: np.ndarray):
     """Integrand arguments per term: base points, scaled y slot, scaled v slot,
@@ -128,29 +127,10 @@ def _pack(u: float, ts: np.ndarray, ys: np.ndarray):
     return ts[1:], u * ys[:-1], u * slopes, steps
 
 
-def _eval_soft(expr: Expr, t: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = np.asarray(evaluate_array(expr, t, y, v), dtype=float)
-    if out.ndim == 0:
-        out = np.full(t.shape, float(out))
-    return out
-
-
-def _eval_checked(expr: Expr, t: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = _eval_soft(expr, t, y, v)
-    bad = ~np.isfinite(out)
-    if bad.any():
-        i = int(np.argmax(bad))
-        evaluate(expr, float(t[i]), float(y[i]), float(v[i]))  # raises with context
-        raise EvaluationError(
-            "expression produced a non-finite value",
-            t=float(t[i]), y=float(y[i]), v=float(v[i]))
-    return out
-
-
 def _functional_raw(lag: Lagrangian, u: float, ts: np.ndarray, ys: np.ndarray,
                     checked: bool = True) -> float:
     tA, Y, V, wts = _pack(u, ts, ys)
-    ev = _eval_checked if checked else _eval_soft
+    ev = evaluate if checked else evaluate_array
     vals = ev(lag.L, tA, Y, V)
     return u * float(np.sum(vals * wts))
 
@@ -159,7 +139,7 @@ def _grad_raw(lag: Lagrangian, u: float, ts: np.ndarray, ys: np.ndarray,
               checked: bool = True) -> np.ndarray:
     """Gradient of the discretized functional with respect to interior values."""
     tA, Y, V, wts = _pack(u, ts, ys)
-    ev = _eval_checked if checked else _eval_soft
+    ev = evaluate if checked else evaluate_array
     p2 = ev(lag.dL_dy, tA, Y, V)
     p3 = ev(lag.dL_dv, tA, Y, V)
     uu = u * u
@@ -182,9 +162,9 @@ def _hess_raw(second: _SecondPartials, u: float, ts: np.ndarray,
     """Tridiagonal Hessian of the discretized functional as its two bands:
     the diagonal (m values) and the symmetric off-diagonal (m - 1 values)."""
     tA, Y, V, wts = _pack(u, ts, ys)
-    A = _eval_checked(second[0], tA, Y, V)
-    B = _eval_checked(second[1], tA, Y, V)
-    C = _eval_checked(second[2], tA, Y, V)
+    A = evaluate(second[0], tA, Y, V)
+    B = evaluate(second[1], tA, Y, V)
+    C = evaluate(second[2], tA, Y, V)
     u3 = u ** 3
     if u > 0:
         diag = u3 * (wts[:-1] * A[:-1] + 2.0 * B[:-1]
@@ -326,14 +306,13 @@ def _solve_pivoting(diag: np.ndarray, off: np.ndarray,
     return out
 
 
-def _residual_raw(lag: Lagrangian, u: float, ts: np.ndarray, ys: np.ndarray,
-                  checked: bool = True) -> np.ndarray:
+def _residual_raw(lag: Lagrangian, u: float, ts: np.ndarray,
+                  ys: np.ndarray) -> np.ndarray:
     """Stationarity residual at every point where the shifted indices exist:
     grid indices 0..N-2 for u > 0, and 2..N for u < 0."""
     tA, Y, V, wts = _pack(u, ts, ys)
-    ev = _eval_checked if checked else _eval_soft
-    p2 = ev(lag.dL_dy, tA, Y, V)
-    g = ev(lag.dL_dv, tA, Y, V)
+    p2 = evaluate(lag.dL_dy, tA, Y, V)
+    g = evaluate(lag.dL_dv, tA, Y, V)
     if u > 0:
         return u * ((g[1:] - g[:-1]) / wts[:-1] - p2[:-1])
     return u * ((g[1:] - g[:-1]) / wts[1:] - p2[1:])

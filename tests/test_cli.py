@@ -86,6 +86,18 @@ class TestSolve:
         assert lines["lambda0"] == "1"
         assert "normal = true" in cp.stdout
 
+    def test_singular_integrand_exits_3(self, tmp_path: Path):
+        # the affine start passes through y = 0 at t = 0.5, where log(y)
+        # and its partials are singular
+        prob = tmp_path / "log.prob"
+        prob.write_text(CLASSIC.replace("L = v^2", "L = log(y)")
+                        .replace("alpha = 0", "alpha = -1").replace("1e-3", "0.125"))
+        cp = run_cli("solve", str(prob))
+        assert cp.returncode == 3
+        assert cp.stdout == ""
+        assert len(cp.stderr.splitlines()) == 1, cp.stderr
+        assert cp.stderr.startswith("error: cannot evaluate expression at t=")
+
     def test_missing_file_is_input_error(self):
         cp = run_cli("solve", "/nonexistent/problem.prob")
         assert cp.returncode == 2
@@ -421,6 +433,85 @@ class TestOutOfMemory:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == line
+
+
+class TestNonUtf8Input:
+    """An input file that is not UTF-8 text is malformed input: exit 2 and
+    one stderr line, no traceback; one test per command family."""
+
+    def check(self, capsys, argv: list[str]) -> None:
+        from tsvar import cli
+
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: an input file is not UTF-8 text (invalid start byte)\n")
+
+    def bad_csv(self, tmp_path: Path) -> str:
+        fcsv = tmp_path / "f.csv"
+        fcsv.write_bytes(b"t,value\n0,1\n\xff1,2\n")
+        return str(fcsv)
+
+    def test_solve(self, tmp_path: Path, capsys):
+        prob = tmp_path / "bad.prob"
+        prob.write_bytes(CLASSIC.encode() + b"# \xff\n")
+        self.check(capsys, ["solve", str(prob)])
+
+    def test_residual(self, tmp_path: Path, capsys):
+        prob = tmp_path / "classic.prob"
+        prob.write_text(CLASSIC)
+        self.check(capsys, ["residual", str(prob), "--y", self.bad_csv(tmp_path)])
+
+    def test_calc(self, tmp_path: Path, capsys):
+        self.check(capsys, ["calc", "deriv", "points 0 1", "--f", self.bad_csv(tmp_path)])
+
+    def test_epideriv_scale_file(self, tmp_path: Path, capsys):
+        scale = tmp_path / "scale.ts"
+        scale.write_bytes(b"points 0 1 \xff\n")
+        fcsv = tmp_path / "f.csv"
+        fcsv.write_text("t,value\n0,1\n1,2\n")
+        self.check(capsys, ["epideriv", str(scale), "--f", str(fcsv),
+                            "--t", "0", "--u", "1"])
+
+
+class TestParserBuiltOnce:
+    def test_one_build_across_calls(self, tmp_path: Path, monkeypatch, capsys):
+        from tsvar import cli
+
+        builds = []
+
+        class Spy(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                if self.prog == "tsvar":
+                    builds.append(self)
+
+        monkeypatch.setattr(cli, "_Parser", Spy)
+        cli._build_parser.cache_clear()
+        try:
+            fcsv = tmp_path / "f.csv"
+            fcsv.write_text("t,value\n0,1\n1,2\n")
+            for _ in range(3):
+                assert cli.main(["calc", "int", "points 0 1", "--f", str(fcsv)]) == 0
+            assert cli.main(["calc", "curl"]) == 1
+        finally:
+            cli._build_parser.cache_clear()
+        assert len(builds) == 1
+        assert capsys.readouterr().out == "1\n1\n1\n"
+
+    def test_nothing_leaks_between_calls(self, tmp_path: Path, capsys):
+        from tsvar import cli
+
+        fcsv = tmp_path / "f.csv"
+        fcsv.write_text("t,value\n0,0\n1,1\n2,4\n")
+        args = ["calc", "deriv", "points 0 1 2", "--f", str(fcsv)]
+        out = tmp_path / "out.csv"
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == out.read_text()
+        assert out.read_text() == "t,value\n0,1\n1,3\n"
 
 
 class TestProblemFileParsing:

@@ -49,6 +49,38 @@ class TestExtend:
             assert cb.eval(t) == pytest.approx(a * fb.eval(t) + b * gb.eval(t), abs=1e-12)
 
 
+class TestValidation:
+    """PLFunction's checks, in order, with their messages."""
+
+    @pytest.mark.parametrize("breakpoints, values, message", [
+        ((0.0,), (1.0,), "a piecewise-linear function needs at least two breakpoints"),
+        ((0.0, 1.0), (1.0,), "breakpoints and values must have equal length"),
+        ((0.0, 1.0, 1.0), (1.0, 2.0, 3.0), "breakpoints must be strictly increasing"),
+        ((0.0, math.nan), (1.0, 2.0), "breakpoints must be strictly increasing"),
+        ((0.0, 1.0, 2.0), (1.0, math.inf, math.nan), "values must be finite, got inf"),
+        ((0.0, 1.0), (1.0, math.nan), "values must be finite, got nan"),
+    ])
+    def test_messages(self, breakpoints, values, message):
+        with pytest.raises(ParameterError) as err:
+            PLFunction(breakpoints, values)
+        assert str(err.value) == message
+
+    def test_fields_are_tuples_of_floats(self):
+        fbar = PLFunction([0, 1], [2, 3])
+        assert fbar.breakpoints == (0.0, 1.0) and fbar.values == (2.0, 3.0)
+        assert all(type(x) is float for x in fbar.breakpoints + fbar.values)
+
+    def test_infinite_breakpoints_are_accepted(self):
+        fbar = PLFunction((-math.inf, 0.0, math.inf), (1.0, 2.0, 3.0))
+        assert fbar.a == -math.inf and fbar.b == math.inf
+
+    def test_extend_keeps_tuples(self):
+        grid = TimeScale.of_points(0, 1, 3).discretize(1.0)
+        fbar = extend(GridFunction(grid, (0.5, 2.0, -1.0)))
+        assert fbar == PLFunction((0.0, 1.0, 3.0), (0.5, 2.0, -1.0))
+        assert type(fbar.breakpoints) is tuple and type(fbar.values[0]) is float
+
+
 class TestEval:
     def test_breakpoint_exact(self):
         assert CHORD.eval(0.0) == 0.0

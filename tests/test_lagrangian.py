@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from helpers import EXPRESSION_SUITE, central_diff
@@ -142,6 +143,74 @@ class TestEvaluate:
         e = parse("log(y)")
         arr = evaluate_array(e, np.zeros(2), np.array([-1.0, 1.0]), np.zeros(2))
         assert math.isnan(arr[0]) and arr[1] == 0.0
+
+
+class TestSingularValues:
+    """One rule: a value is singular when it is nan or infinite. evaluate
+    raises EvaluationError at the first singular point; evaluate_array
+    returns the non-finite value."""
+
+    SINGULAR = [
+        ("log(y)", (0.0, -1.0, 0.0)),
+        ("sqrt(v)", (0.0, 0.0, -4.0)),
+        ("1/t", (0.0, 0.0, 0.0)),
+        ("exp(y)", (0.0, 1000.0, 0.0)),
+        ("y*y*1e300", (0.0, 1e10, 0.0)),
+    ]
+
+    @pytest.mark.parametrize("text, point", [
+        ("sin(t)*v + exp(y/3)", (0.3, -1.2, 2.5)),
+        ("sqrt(1 + v^2)*exp(y/4)", (0.0, 1.5, -0.75)),
+        ("log(y)/t - cos(v)^3", (2.0, 0.5, 1.25)),
+        ("y^t + t^2.5", (1.5, 3.0, 0.0)),
+        ("1/(1/t)", (0.0, 0.0, 0.0)),
+        ("-(t - y)/(v*v + 1)", (1e-300, -1e300, 1e150)),
+    ])
+    def test_scalar_and_array_agree(self, text, point):
+        e = parse(text)
+        value = evaluate(e, *point)
+        assert type(value) is float
+        arr = evaluate_array(e, *(np.full(3, x) for x in point))
+        assert arr.tolist() == [value] * 3
+
+    def test_reciprocal_of_reciprocal_at_zero_is_zero(self):
+        assert evaluate(parse("1/(1/t)"), 0.0, 0.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("text, point", SINGULAR)
+    def test_singular_point(self, text, point):
+        e = parse(text)
+        with pytest.raises(EvaluationError) as err:
+            evaluate(e, *point)
+        assert (err.value.t, err.value.y, err.value.v) == point
+        t, y, v = point
+        assert str(err.value).startswith(
+            f"cannot evaluate expression at t={t!r}, y={y!r}, v={v!r}: the value is ")
+        assert not np.isfinite(evaluate_array(e, *point))
+
+    def test_arrays_name_the_first_singular_point(self):
+        ts = np.array([0.5, 1.0, 1.5, 2.0])
+        ys = np.array([1.0, -2.0, -3.0, 4.0])
+        vs = np.array([0.0, 0.25, 0.5, 0.75])
+        e = parse("t*log(y) + v")
+        with pytest.raises(EvaluationError) as err:
+            evaluate(e, ts, ys, vs)
+        assert (err.value.t, err.value.y, err.value.v) == (1.0, -2.0, 0.25)
+        assert all(type(x) is float for x in (err.value.t, err.value.y, err.value.v))
+        assert str(err.value) == (
+            "cannot evaluate expression at t=1.0, y=-2.0, v=0.25: the value is nan")
+        good = evaluate(e, ts, np.abs(ys), vs)
+        assert good.tolist() == evaluate_array(e, ts, np.abs(ys), vs).tolist()
+
+    def test_constant_takes_the_argument_shape(self):
+        ts = np.linspace(0.0, 1.0, 5)
+        for text in ("2.5", "sin(1) + 2"):
+            arr = evaluate_array(parse(text), ts, ts, ts)
+            assert arr.dtype == np.float64 and arr.shape == (5,)
+            assert evaluate(parse(text), ts, ts, ts).tolist() == arr.tolist()
+        arr = evaluate_array(parse("y"), ts, 2.0, ts)
+        assert arr.shape == (5,) and arr.tolist() == [2.0] * 5
+        point = evaluate_array(parse("3"), 0.0, 0.0, 0.0)
+        assert isinstance(point, np.ndarray) and point.shape == ()
 
 
 def test_symbolic_partials_match_finite_differences():
