@@ -115,37 +115,16 @@ class VerifyReport:
     passed: bool
 
 
-# -- argument packing ----------------------------------------------------------
+# -- one trajectory under one integrand ------------------------------------------
 
 def _pack(u: float, ts: np.ndarray, ys: np.ndarray):
     """Integrand arguments per term: base points, scaled y slot, scaled v slot,
     and the step weights, in the direction selected by the sign of u."""
-    steps = np.diff(ts)
-    slopes = np.diff(ys) / steps
+    steps = ts[1:] - ts[:-1]
+    slopes = (ys[1:] - ys[:-1]) / steps
     if u > 0:
         return ts[:-1], u * ys[1:], u * slopes, steps
     return ts[1:], u * ys[:-1], u * slopes, steps
-
-
-def _functional_raw(lag: Lagrangian, u: float, ts: np.ndarray, ys: np.ndarray,
-                    checked: bool = True) -> float:
-    tA, Y, V, wts = _pack(u, ts, ys)
-    ev = evaluate if checked else evaluate_array
-    vals = ev(lag.L, tA, Y, V)
-    return u * float(np.sum(vals * wts))
-
-
-def _grad_raw(lag: Lagrangian, u: float, ts: np.ndarray, ys: np.ndarray,
-              checked: bool = True) -> np.ndarray:
-    """Gradient of the discretized functional with respect to interior values."""
-    tA, Y, V, wts = _pack(u, ts, ys)
-    ev = evaluate if checked else evaluate_array
-    p2 = ev(lag.dL_dy, tA, Y, V)
-    p3 = ev(lag.dL_dv, tA, Y, V)
-    uu = u * u
-    if u > 0:
-        return uu * (wts[:-1] * p2[:-1] + p3[:-1] - p3[1:])
-    return uu * (wts[1:] * p2[1:] - p3[1:] + p3[:-1])
 
 
 _SecondPartials = tuple[Expr, Expr, Expr]
@@ -157,24 +136,101 @@ def _second_partials(lag: Lagrangian) -> _SecondPartials:
             differentiate(lag.dL_dv, "v"))
 
 
+class _Iterate:
+    """A trajectory ys on the grid ts as the integrand lag sees it in the
+    direction u: the packed arguments, and lag's value and first partials
+    there, each evaluated at most once, so the gradient, functional and
+    residual of one iterate share their evaluations. The Hessian's second
+    partials are read once per iterate and are not kept.
+
+    A checked read raises EvaluationError at the first non-finite value, as
+    evaluate does; an unchecked one, as a line-search trial makes, returns
+    the values as they are.
+    """
+
+    def __init__(self, lag: Lagrangian | None, u: float, ts: np.ndarray,
+                 ys: np.ndarray):
+        self.lag, self.u = lag, u
+        self.tA, self.Y, self.V, self.wts = _pack(u, ts, ys)
+        self._seen: dict[str, list] = {}  # "L", "dL_dy", "dL_dv" -> [values, checked]
+        self._grad: np.ndarray | None = None
+
+    def values(self, name: str, checked: bool = True) -> np.ndarray:
+        entry = self._seen.get(name)
+        if entry is None:
+            e = getattr(self.lag, name)
+            entry = [evaluate_array(e, self.tA, self.Y, self.V), False]
+            self._seen[name] = entry
+        if checked and not entry[1]:
+            self._check(getattr(self.lag, name), entry[0])
+            entry[1] = True
+        return entry[0]
+
+    def _check(self, e: Expr, values: np.ndarray) -> np.ndarray:
+        if not np.isfinite(values).all():
+            evaluate(e, self.tA, self.Y, self.V)  # raises at the first such point
+        return values
+
+    def functional(self, checked: bool = True) -> float:
+        return self.u * float(np.sum(self.values("L", checked) * self.wts))
+
+    def grad(self, checked: bool = True) -> np.ndarray:
+        """Gradient of the discretized functional with respect to interior
+        values."""
+        p2 = self.values("dL_dy", checked)
+        p3 = self.values("dL_dv", checked)
+        if self._grad is None:
+            u, wts = self.u, self.wts
+            if u > 0:
+                self._grad = u * u * (wts[:-1] * p2[:-1] + p3[:-1] - p3[1:])
+            else:
+                self._grad = u * u * (wts[1:] * p2[1:] - p3[1:] + p3[:-1])
+        return self._grad
+
+    def hess(self, second: _SecondPartials) -> tuple[np.ndarray, np.ndarray]:
+        """Tridiagonal Hessian of the discretized functional as its two bands:
+        the diagonal (m values) and the symmetric off-diagonal (m - 1 values)."""
+        A, B, C = (self._check(e, evaluate_array(e, self.tA, self.Y, self.V))
+                   for e in second)
+        u3, wts = self.u ** 3, self.wts
+        cw = C / wts
+        if self.u > 0:
+            diag = u3 * (wts[:-1] * A[:-1] + 2.0 * B[:-1] + cw[:-1] + cw[1:])
+            off = -u3 * (B[1:-1] + cw[1:-1])
+        else:
+            diag = u3 * (wts[1:] * A[1:] - 2.0 * B[1:] + cw[1:] + cw[:-1])
+            off = u3 * (B[1:-1] - cw[1:-1])
+        return diag, off
+
+    def residual(self) -> np.ndarray:
+        """Stationarity residual at every point where the shifted indices
+        exist: grid indices 0..N-2 for u > 0, and 2..N for u < 0."""
+        p2 = self.values("dL_dy")
+        g = self.values("dL_dv")
+        u, wts = self.u, self.wts
+        if u > 0:
+            return u * ((g[1:] - g[:-1]) / wts[:-1] - p2[:-1])
+        return u * ((g[1:] - g[:-1]) / wts[1:] - p2[1:])
+
+
+def _functional_raw(lag: Lagrangian, u: float, ts: np.ndarray, ys: np.ndarray,
+                    checked: bool = True) -> float:
+    return _Iterate(lag, u, ts, ys).functional(checked)
+
+
+def _grad_raw(lag: Lagrangian, u: float, ts: np.ndarray, ys: np.ndarray,
+              checked: bool = True) -> np.ndarray:
+    return _Iterate(lag, u, ts, ys).grad(checked)
+
+
 def _hess_raw(second: _SecondPartials, u: float, ts: np.ndarray,
               ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tridiagonal Hessian of the discretized functional as its two bands:
-    the diagonal (m values) and the symmetric off-diagonal (m - 1 values)."""
-    tA, Y, V, wts = _pack(u, ts, ys)
-    A = evaluate(second[0], tA, Y, V)
-    B = evaluate(second[1], tA, Y, V)
-    C = evaluate(second[2], tA, Y, V)
-    u3 = u ** 3
-    if u > 0:
-        diag = u3 * (wts[:-1] * A[:-1] + 2.0 * B[:-1]
-                     + C[:-1] / wts[:-1] + C[1:] / wts[1:])
-        off = -u3 * (B[1:-1] + C[1:-1] / wts[1:-1])
-    else:
-        diag = u3 * (wts[1:] * A[1:] - 2.0 * B[1:]
-                     + C[1:] / wts[1:] + C[:-1] / wts[:-1])
-        off = u3 * (B[1:-1] - C[1:-1] / wts[1:-1])
-    return diag, off
+    return _Iterate(None, u, ts, ys).hess(second)
+
+
+def _residual_raw(lag: Lagrangian, u: float, ts: np.ndarray,
+                  ys: np.ndarray) -> np.ndarray:
+    return _Iterate(lag, u, ts, ys).residual()
 
 
 _SINGULAR = "Newton matrix is singular at the current iterate"
@@ -183,15 +239,21 @@ _SINGULAR = "Newton matrix is singular at the current iterate"
 # numpy has no banded solver, and scipy.linalg.solve_banded is kept out on
 # purpose: importing scipy.linalg costs 0.26-0.4 s and about 27 MB of RSS,
 # far more than a whole small solve. A definite system with at least
-# _CR_MIN_UNKNOWNS unknowns is solved by cyclic reduction, log2(m) levels of
-# numpy slicing; anything else by the pivoting loop, a Python loop over
-# floats that is O(m) and stays the fallback for indefinite or singular
-# systems.
+# _CR_MIN_UNKNOWNS unknowns is solved by cyclic reduction, log2(m / 64)
+# levels of numpy slicing and a scalar sweep over the rest; anything else
+# by the pivoting loop, a Python loop over floats that is O(m) and stays
+# the fallback for indefinite or singular systems.
 
 # Cyclic reduction costs mostly a fixed overhead per level, so below about
-# 300 unknowns the loop is faster (CHANGES.md has the timings); the
-# threshold keeps a margin over that crossover, which moves with the machine.
+# 100 to 150 unknowns the loop is faster (CHANGES.md has the timings). The
+# threshold stays well above that crossover, which moves with the machine,
+# so that problems of a few hundred points keep the loop's results.
 _CR_MIN_UNKNOWNS = 512
+
+# Cyclic reduction stops once at most this many unknowns are left and
+# factors the rest by a scalar sweep: a level on fewer unknowns costs more
+# in numpy call overhead than the sweep's Python loop.
+_CR_TAIL = 63
 
 
 def _cyclic_reduction(diag: np.ndarray, off: np.ndarray,
@@ -202,54 +264,88 @@ def _cyclic_reduction(diag: np.ndarray, off: np.ndarray,
 
     Each level eliminates the even-numbered unknowns, which do not couple
     to each other, and leaves a tridiagonal system in the odd-numbered
-    ones. That factors P T P^T = L D L^T without pivoting, which is stable
-    for a definite T (Buzbee, Golub & Nielson 1970; Golub & Van Loan ch. 4).
-    So it returns None, and leaves the system to the pivoting loop, when
-    there are fewer than _CR_MIN_UNKNOWNS unknowns or when a pivot at some
-    level does not have the sign of T[0, 0]. T is padded to 2^k - 1 rows
-    with identity rows.
+    ones. Once at most _CR_TAIL unknowns are left, that system is factored
+    L D L^T by a scalar sweep. Together this factors P T P^T = L D L^T
+    without pivoting, which is stable for a definite T (Buzbee, Golub &
+    Nielson 1970; Golub & Van Loan ch. 4), and by Sylvester's law T is
+    definite iff every pivot has the sign of T[0, 0]. So it returns None,
+    and leaves the system to the pivoting loop, when there are fewer than
+    _CR_MIN_UNKNOWNS unknowns or when some pivot lacks that sign. T is
+    padded with identity rows to the fewest rows that k levels can halve.
     """
     m = diag.size
     if m < _CR_MIN_UNKNOWNS or not diag[0] != 0.0:
         return None
-    sign = math.copysign(1.0, diag[0])  # reduce -T when T is negative definite
-    n = (1 << m.bit_length()) - 1
+    # k levels halve n = (t + 1) 2^k - 1 rows, whose count stays odd, down
+    # to t <= _CR_TAIL; k and then t are the least that hold m rows
+    k = (-(-(m + 1) // (_CR_TAIL + 1)) - 1).bit_length()
+    n = (-(-(m + 1) >> k) << k) - 1
     # row i reads e[i] x[i - 1] + d[i] x[i] + e[i + 1] x[i + 1], with
     # e[0] = e[n] = 0
     d = np.ones(n)
-    d[:m] = sign * diag
     e = np.zeros(n + 1)
-    e[1:m] = sign * off
-    k = len(rhs)
-    r = np.zeros((k, n))
-    r[:, :m] = rhs
-    r *= sign
-    if k == 1:
-        r = r[0]  # one right-hand side runs on 1-D slices, which are cheaper
+    out = np.zeros((len(rhs), n))
+    d[:m], e[1:m], out[:, :m] = diag, off, rhs
+    if diag[0] < 0.0:  # reduce -T when T is negative definite
+        d[:m] *= -1.0
+        e[1:m] *= -1.0
+        out *= -1.0
+    # one right-hand side runs on 1-D slices, which are cheaper; the
+    # solution overwrites the right-hand side, level by level
+    x = r = out[0] if len(rhs) == 1 else out
     levels = []
     with np.errstate(all="ignore"):  # a non-finite result is the caller's check
-        while True:
+        for _ in range(k):
             piv = d[0::2]
-            if not piv.min() > 0.0:
-                return None
-            if piv.size == 1:
-                break
             left, right = e[1:-1:2], e[2::2]  # odd rows' even neighbours
             a, c = left / piv[:-1], right / piv[1:]
             levels.append((piv, a, c, r[..., 0::2]))
             d = d[1::2] - a * left - c * right
             r = r[..., 1::2] - a * r[..., :-1:2] - c * r[..., 2::2]
             e = -(e[0::2] * e[1::2]) / piv
-        x = r / piv
-        for piv, a, c, r_even in reversed(levels):
-            x_even = r_even / piv
-            x_even[..., :-1] -= a * x
-            x_even[..., 1:] -= c * x
-            full = np.empty(x.shape[:-1] + (2 * x.shape[-1] + 1,))
-            full[..., 0::2] = x_even
-            full[..., 1::2] = x
-            x = full
-    return x[..., :m].reshape(k, m)
+        if levels and not np.concatenate([lv[0] for lv in levels]).min() > 0.0:
+            return None
+        top = (1 << k) - 1  # level j's unknowns are x[2^j - 1::2^j]
+        tail = _ldl_sweep(d.tolist(), e.tolist(), r.reshape(-1, d.size).tolist())
+        if tail is None:
+            return None
+        x[..., top::top + 1] = tail[0] if len(rhs) == 1 else tail
+        for j in range(k - 1, -1, -1):
+            piv, a, c, r_even = levels[j]
+            here = x[..., (1 << j) - 1::1 << j]
+            x_even, x_odd = here[..., 0::2], here[..., 1::2]
+            np.divide(r_even, piv, out=x_even)
+            x_even[..., :-1] -= a * x_odd
+            x_even[..., 1:] -= c * x_odd
+    return out[:, :m]
+
+
+def _ldl_sweep(d: list[float], e: list[float],
+               rhs: list[list[float]]) -> list[list[float]] | None:
+    """Solve the tridiagonal system left after cyclic reduction, with row i
+    reading e[i] x[i - 1] + d[i] x[i] + e[i + 1] x[i + 1], by factoring it
+    L D L^T; None when a pivot of D is not positive."""
+    piv, low = [], []  # D, and the subdiagonal of L (low[0] = 0)
+    p = 1.0
+    for di, ei in zip(d, e):
+        f = ei / p
+        p = di - f * ei
+        if not p > 0.0:
+            return None
+        piv.append(p)
+        low.append(f)
+    out = []
+    for b in rhs:
+        z, zs = 0.0, []
+        for bi, f in zip(b, low):
+            z = bi - f * z
+            zs.append(z)
+        x, xs = 0.0, []
+        for zi, p, f in zip(reversed(zs), reversed(piv), reversed(low[1:] + [0.0])):
+            x = zi / p - f * x
+            xs.append(x)
+        out.append(xs[::-1])
+    return out
 
 
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
@@ -304,18 +400,6 @@ def _solve_pivoting(diag: np.ndarray, off: np.ndarray,
             b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
         out.append(np.array(b[:n]))
     return out
-
-
-def _residual_raw(lag: Lagrangian, u: float, ts: np.ndarray,
-                  ys: np.ndarray) -> np.ndarray:
-    """Stationarity residual at every point where the shifted indices exist:
-    grid indices 0..N-2 for u > 0, and 2..N for u < 0."""
-    tA, Y, V, wts = _pack(u, ts, ys)
-    p2 = evaluate(lag.dL_dy, tA, Y, V)
-    g = evaluate(lag.dL_dv, tA, Y, V)
-    if u > 0:
-        return u * ((g[1:] - g[:-1]) / wts[:-1] - p2[:-1])
-    return u * ((g[1:] - g[:-1]) / wts[1:] - p2[1:])
 
 
 def _interior(u: float, values: np.ndarray) -> np.ndarray:
@@ -481,11 +565,13 @@ def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution
     ys = _affine_start(problem, ts)
 
     # the line search's trial at alpha along the current iterate's step
-    def trial(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    def trial(alpha: float) -> tuple[tuple[np.ndarray, _Iterate], np.ndarray]:
         z = _moved(ys, step, alpha)
-        return z, _grad_raw(lag, u, ts, z, checked=False)
+        at_z = _Iterate(lag, u, ts, z)
+        return (z, at_z), at_z.grad(checked=False)
 
-    g = _grad_raw(lag, u, ts, ys)
+    at = _Iterate(lag, u, ts, ys)
+    g = at.grad()
     iterations = 0
     while float(np.max(np.abs(g))) > tol:
         if iterations >= max_iter:
@@ -493,17 +579,16 @@ def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution
                 f"no convergence after {max_iter} Newton steps "
                 f"(stationarity norm {float(np.max(np.abs(g))):.3e})",
                 last=tuple(ys.tolist()))
-        [step] = _solve_tridiagonal(*_hess_raw(second, u, ts, ys), -g)
+        [step] = _solve_tridiagonal(*at.hess(second), -g)
         if not np.all(np.isfinite(step)):
             raise SingularSystemError("Newton step is not finite")
-        ys, g = _backtrack(trial, g, tol, ys)
+        (ys, at), g = _backtrack(trial, g, tol, ys)
         iterations += 1
 
-    yfn = GridFunction(grid, ys)
-    res = _interior_residual(problem, ts, ys)
+    res = _interior(u, at.residual())
     return Solution(
-        y=yfn,
-        functional_value=_functional_raw(lag, u, ts, ys),
+        y=GridFunction(grid, ys),
+        functional_value=at.functional(),
         residual_max=_interior_max(res),
         iterations=iterations,
     )
@@ -643,19 +728,21 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
     lam_g = 0.0
     m = len(grid.points) - 2
 
-    def system(z: np.ndarray, lam_val: float, checked: bool) -> np.ndarray:
-        gl = _grad_raw(iso.L, u, ts, z, checked=checked)
-        gg = _grad_raw(iso.G, w, ts, z, checked=checked)
-        cons = _functional_raw(iso.G, w, ts, z, checked=checked) - iso.K
-        return np.concatenate([gl - lam_val * gg, [cons]])
+    # both integrands at z, and the system's value there
+    def system(z: np.ndarray, lam_val: float, checked: bool):
+        at_l, at_g = _Iterate(iso.L, u, ts, z), _Iterate(iso.G, w, ts, z)
+        gl, gg = at_l.grad(checked), at_g.grad(checked)
+        cons = at_g.functional(checked) - iso.K
+        return (at_l, at_g), np.concatenate([gl - lam_val * gg, [cons]])
 
     # the line search's trial at alpha along the current iterate's step
-    def trial(alpha: float) -> tuple[tuple[np.ndarray, float], np.ndarray]:
+    def trial(alpha: float):
         z = _moved(ys, step, alpha)
         lam_try = lam_g + alpha * dlam
-        return (z, lam_try), system(z, lam_try, checked=False)
+        at_z, phi_z = system(z, lam_try, checked=False)
+        return (z, lam_try, at_z), phi_z
 
-    phi = system(ys, lam_g, checked=True)
+    (at_l, at_g), phi = system(ys, lam_g, checked=True)
     iterations = 0
     while float(np.max(np.abs(phi))) > tol:
         if iterations >= max_iter:
@@ -663,13 +750,13 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
                 f"no convergence after {max_iter} Newton steps "
                 f"(system norm {float(np.max(np.abs(phi))):.3e})",
                 last=tuple(ys.tolist()))
-        gg = _grad_raw(iso.G, w, ts, ys)
-        diag_l, off_l = _hess_raw(second_l, u, ts, ys)
-        diag_g, off_g = _hess_raw(second_g, w, ts, ys)
+        gg = at_g.grad()
+        diag_l, off_l = at_l.hess(second_l)
+        diag_g, off_g = at_g.hess(second_g)
         step, dlam = _bordered_step(diag_l - lam_g * diag_g,
                                     off_l - lam_g * off_g, gg, phi)
         try:
-            (ys, lam_g), phi = _backtrack(trial, phi, tol, ys)
+            (ys, lam_g, (at_l, at_g)), phi = _backtrack(trial, phi, tol, ys)
         except IterationLimitError:
             cons_gap = abs(float(phi[m]))
             if cons_gap > tol and float(np.max(np.abs(gg))) <= max(tol, 1e-12):
@@ -679,18 +766,17 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
             raise
         iterations += 1
 
-    yfn = GridFunction(grid, ys)
-    g_side_max = _interior_max(_interior(w, _residual_raw(iso.G, w, ts, ys)))
-    if g_side_max <= tol:
+    res_g = _interior(w, at_g.residual())
+    if _interior_max(res_g) <= tol:
         lam0, lam_out, normal = 0.0, 1.0, False
     else:
         # the augmented system solves in gradient scaling; convert to the
         # residual convention, which differs by the factor w/u
         lam0, lam_out, normal = 1.0, lam_g * w / u, True
-    res = _interior_residual(iso, ts, ys, lam0, lam_out)
+    res = lam0 * _interior(u, at_l.residual()) - lam_out * res_g
     return Solution(
-        y=yfn,
-        functional_value=_functional_raw(iso.L, u, ts, ys),
+        y=GridFunction(grid, ys),
+        functional_value=at_l.functional(),
         residual_max=_interior_max(res),
         iterations=iterations,
         lam=lam_out,

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
+import tsvar
 from tsvar import PLFunction, Segment, TimeScale, timescale
 from tsvar.errors import DomainError, InputFormatError, ParameterError
 
@@ -58,6 +61,15 @@ def random_increasing(rng: random.Random, n: int, start_lo: float = -2.0,
         x += rng.uniform(gap_lo, gap_hi)
         pts.append(x)
     return pts
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a child interpreter that must import the same tsvar
+    as the tests, also when pytest alone put `src` on the path."""
+    src = str(Path(tsvar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def dense_tridiagonal(diag, off) -> np.ndarray:
@@ -193,3 +205,95 @@ def reference_read_grid_csv(stream, scale: TimeScale | None = None
         if not math.isfinite(v):
             raise ParameterError(f"grid values must be finite, got {v!r}")
     return points, flags, values
+
+
+# -- the per-call Newton loop that iterate records replaced -----------------------
+
+def reference_solve(problem, tol: float = 1e-10, max_iter: int = 100):
+    """solve with one call per figure: every gradient, Hessian, residual and
+    functional value packs and evaluates its own arguments."""
+    from tsvar import GridFunction, Solution
+    from tsvar.variational import (
+        _affine_start, _backtrack, _functional_raw, _grad_raw, _hess_raw,
+        _interior, _interior_max, _moved, _prepared_grid, _residual_raw,
+        _second_partials, _solve_tridiagonal)
+
+    grid, ts = _prepared_grid(problem)
+    lag, u = problem.L, problem.u
+    second = _second_partials(lag)
+    ys = _affine_start(problem, ts)
+
+    def trial(alpha):
+        z = _moved(ys, step, alpha)
+        return z, _grad_raw(lag, u, ts, z, checked=False)
+
+    g = _grad_raw(lag, u, ts, ys)
+    iterations = 0
+    while float(np.max(np.abs(g))) > tol:
+        assert iterations < max_iter
+        [step] = _solve_tridiagonal(*_hess_raw(second, u, ts, ys), -g)
+        assert np.all(np.isfinite(step))
+        ys, g = _backtrack(trial, g, tol, ys)
+        iterations += 1
+    res = _interior(u, _residual_raw(lag, u, ts, ys))
+    return Solution(
+        y=GridFunction(grid, ys),
+        functional_value=_functional_raw(lag, u, ts, ys),
+        residual_max=_interior_max(res),
+        iterations=iterations,
+    )
+
+
+def reference_solve_iso(iso, tol: float = 1e-10, max_iter: int = 100):
+    """solve_iso with one call per figure, as reference_solve."""
+    from tsvar import GridFunction, Solution
+    from tsvar.variational import (
+        _affine_start, _backtrack, _bordered_step, _functional_raw, _grad_raw,
+        _hess_raw, _interior, _interior_max, _moved, _prepared_grid,
+        _residual_raw, _second_partials)
+
+    grid, ts = _prepared_grid(iso)
+    u, w = iso.u, iso.w
+    second_l = _second_partials(iso.L)
+    second_g = _second_partials(iso.G)
+    ys = _affine_start(iso, ts)
+    lam_g = 0.0
+
+    def system(z, lam_val, checked):
+        gl = _grad_raw(iso.L, u, ts, z, checked=checked)
+        gg = _grad_raw(iso.G, w, ts, z, checked=checked)
+        cons = _functional_raw(iso.G, w, ts, z, checked=checked) - iso.K
+        return np.concatenate([gl - lam_val * gg, [cons]])
+
+    def trial(alpha):
+        z = _moved(ys, step, alpha)
+        lam_try = lam_g + alpha * dlam
+        return (z, lam_try), system(z, lam_try, checked=False)
+
+    phi = system(ys, lam_g, checked=True)
+    iterations = 0
+    while float(np.max(np.abs(phi))) > tol:
+        assert iterations < max_iter
+        gg = _grad_raw(iso.G, w, ts, ys)
+        diag_l, off_l = _hess_raw(second_l, u, ts, ys)
+        diag_g, off_g = _hess_raw(second_g, w, ts, ys)
+        step, dlam = _bordered_step(diag_l - lam_g * diag_g,
+                                    off_l - lam_g * off_g, gg, phi)
+        (ys, lam_g), phi = _backtrack(trial, phi, tol, ys)
+        iterations += 1
+    res_g = _interior(w, _residual_raw(iso.G, w, ts, ys))
+    if _interior_max(res_g) <= tol:
+        lam0, lam_out, normal = 0.0, 1.0, False
+    else:
+        lam0, lam_out, normal = 1.0, lam_g * w / u, True
+    res = (lam0 * _interior(u, _residual_raw(iso.L, u, ts, ys))
+           - lam_out * _interior(w, _residual_raw(iso.G, w, ts, ys)))
+    return Solution(
+        y=GridFunction(grid, ys),
+        functional_value=_functional_raw(iso.L, u, ts, ys),
+        residual_max=_interior_max(res),
+        iterations=iterations,
+        lam=lam_out,
+        lam0=lam0,
+        normal_flag=normal,
+    )

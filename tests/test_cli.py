@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import child_env
+
 CLASSIC = """\
 [timescale]
 interval 0 1
@@ -35,7 +37,8 @@ K = 0.16666666666666666
 
 def run_cli(*args, **kwargs):
     return subprocess.run([sys.executable, "-m", "tsvar", *args],
-                          capture_output=True, text=True, **kwargs)
+                          capture_output=True, text=True, env=child_env(),
+                          **kwargs)
 
 
 def read_csv(text):

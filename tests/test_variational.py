@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import dense_tridiagonal, random_increasing
+from helpers import child_env, dense_tridiagonal, random_increasing
 from tsvar import (
     GridFunction,
     IsoProblem,
@@ -506,6 +506,63 @@ class TestCyclicReduction:
         assert np.array_equal(got, loop)
         assert self.close(got, np.linalg.solve(dense, r1), m)
 
+    @pytest.mark.parametrize("u", [1.3, -0.7])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2, 64])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_tail_sweep_matches_dense(self, monkeypatch, offset, u, k):
+        # with the threshold lowered, _CR_TAIL + offset unknowns go straight
+        # to the sweep (offset <= 0) or through one or two levels first
+        from tsvar import variational
+        from tsvar.variational import _CR_TAIL, _cyclic_reduction
+
+        monkeypatch.setattr(variational, "_CR_MIN_UNKNOWNS", 1)
+        m = _CR_TAIL + offset
+        diag, off, r1, r2 = self.case(self.CONVEX, u, m, np.random.default_rng(m))
+        rhs = (r1, r2)[:k]
+        got = _cyclic_reduction(diag, off, rhs)
+        assert got is not None and got.shape == (k, m)
+        dense = dense_tridiagonal(diag, off)
+        for x, r in zip(got, rhs):
+            assert self.close(x, np.linalg.solve(dense, r), m)
+
+    @staticmethod
+    def tail_row(n):
+        """A row of an n-row padded system that cyclic reduction keeps for
+        the sweep: its index is 2^levels * j - 1."""
+        from tsvar.variational import _CR_TAIL
+
+        return (n + 1) // (_CR_TAIL + 1) * 40 - 1
+
+    @pytest.mark.parametrize("u", [1.3, -0.7])
+    def test_bad_pivot_only_in_tail_falls_back(self, u):
+        # a row that survives every level keeps its own diagonal through the
+        # reduction, so lowering that one entry leaves every level's pivots
+        # as they were and turns only a pivot of the sweep
+        from tsvar.variational import _cyclic_reduction, _solve_tridiagonal
+
+        m = 1023
+        diag, off, r1, r2 = self.case(self.CONVEX, u, m, np.random.default_rng(5))
+        assert _cyclic_reduction(diag, off, (r1,)) is not None
+        diag = diag.copy()
+        diag[self.tail_row(m)] -= 10.0 * diag[self.tail_row(m)]
+        dense = dense_tridiagonal(diag, off)
+        eig = np.linalg.eigvalsh(dense)
+        assert eig.min() < 0.0 < eig.max()
+        assert _cyclic_reduction(diag, off, (r1, r2)) is None
+        for x, r in zip(_solve_tridiagonal(diag, off, r1, r2), (r1, r2)):
+            assert self.close(x, np.linalg.solve(dense, r), m)
+
+    def test_bad_first_level_pivot_falls_back(self):
+        from tsvar.variational import _cyclic_reduction, _solve_tridiagonal
+
+        m = 1023
+        diag, off, r1, _ = self.case(self.CONVEX, 1.0, m, np.random.default_rng(6))
+        diag = diag.copy()
+        diag[2] = -diag[2]  # an even row: a pivot of the first level
+        assert _cyclic_reduction(diag, off, (r1,)) is None
+        [x] = _solve_tridiagonal(diag, off, r1)
+        assert self.close(x, np.linalg.solve(dense_tridiagonal(diag, off), r1), m)
+
     def test_zero_matrix_above_threshold_is_singular(self):
         from tsvar.variational import _CR_MIN_UNKNOWNS, _solve_tridiagonal
 
@@ -539,6 +596,160 @@ class TestCyclicReduction:
             assert self.close(np.append(step, dlam), np.linalg.solve(dense, -phi), m)
 
 
+class TestIterateReuse:
+    """solve and solve_iso evaluate each partial once per iterate and
+    direction; the per-call loop in helpers, which packs and evaluates
+    anew for every figure, is the reference."""
+
+    MIXED = TimeScale((Segment(0.0, 1.0), Segment(1.5, 1.5), Segment(2.0, 2.0),
+                       Segment(3.0, 4.0)))
+    CATENARY = Lagrangian.from_text("sqrt(1+v^2)*exp(y/4)")
+    BUMP_G = Lagrangian.from_text("y")
+
+    def problems(self, h):
+        quad = Lagrangian.from_text("v^2 + y^2 + 0.3*t*y")
+        return [
+            Problem(scale=UNIT, u=1.0, L=self.CATENARY, alpha=0.3, beta=1.2, h=h),
+            Problem(scale=UNIT, u=-1.5, L=quad, alpha=0.2, beta=-0.4, h=h),
+            Problem(scale=self.MIXED, u=1.0, L=quad, alpha=1.0, beta=-1.0, h=2 * h),
+        ]
+
+    def iso_problems(self, h):
+        return [
+            IsoProblem(scale=UNIT, u=1.0, L=V2, alpha=0.0, beta=0.0, h=h,
+                       G=self.BUMP_G, w=1.0, K=1.3 / 6),
+            IsoProblem(scale=UNIT, u=1.0, L=self.CATENARY, alpha=0.3, beta=1.2,
+                       h=h, G=Lagrangian.from_text("y + 0.1*y^3"), w=2.0, K=1.5),
+            IsoProblem(scale=UNIT, u=-1.3, L=Lagrangian.from_text("v^2 + y^2"),
+                       alpha=0.2, beta=-0.1, h=h,
+                       G=Lagrangian.from_text("y*exp(y/3)"), w=0.7, K=0.1),
+        ]
+
+    @staticmethod
+    def same(got, want):
+        assert np.array_equal(got.y.values, want.y.values)
+        assert (got.functional_value, got.residual_max, got.iterations,
+                got.lam, got.lam0, got.normal_flag) == (
+                    want.functional_value, want.residual_max, want.iterations,
+                    want.lam, want.lam0, want.normal_flag)
+
+    def test_solve_is_bitwise_the_per_call_loop(self):
+        from helpers import reference_solve
+
+        for p in self.problems(h=1 / 300):
+            assert len(p.discretized().points) - 2 < 512
+            sol = solve(p)
+            assert sol.iterations >= 1
+            self.same(sol, reference_solve(p))
+
+    def test_solve_iso_is_bitwise_the_per_call_loop(self):
+        from helpers import reference_solve_iso
+
+        for iso in self.iso_problems(h=1 / 300):
+            sol = solve_iso(iso)
+            assert sol.iterations >= 1
+            self.same(sol, reference_solve_iso(iso))
+
+    def test_above_threshold_agrees_with_the_pivoting_loop(self, monkeypatch):
+        # the reference takes the pivoting loop and the bordered elimination
+        # throughout, so this also checks cyclic reduction inside the solves
+        from helpers import reference_solve, reference_solve_iso
+        from tsvar import variational
+
+        h = 1 / 1500
+        got = [solve(p) for p in self.problems(h)]
+        got += [solve_iso(iso) for iso in self.iso_problems(h)]
+        monkeypatch.setattr(variational, "_cyclic_reduction", lambda *args: None)
+        want = [reference_solve(p) for p in self.problems(h)]
+        want += [reference_solve_iso(iso) for iso in self.iso_problems(h)]
+        for a, b in zip(got, want):
+            m = len(a.y.values) - 2
+            assert m >= variational._CR_MIN_UNKNOWNS
+            tol = np.finfo(float).eps * m * m
+            scale = max(1.0, float(np.max(np.abs(b.y.values))))
+            assert float(np.max(np.abs(a.y.values - b.y.values))) <= tol * scale
+            assert a.functional_value == pytest.approx(b.functional_value, abs=tol)
+            assert a.iterations == b.iterations
+            if b.lam is not None:
+                assert a.lam == pytest.approx(b.lam, abs=tol * max(1.0, abs(b.lam)))
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """Every expression evaluation the solvers make, as (expression,
+        arguments) keys; a checked evaluate that does not raise is an error."""
+        from tsvar import variational
+
+        seen = []
+        real = variational.evaluate_array
+
+        def spy(e, t, y, v):
+            seen.append((id(e), t.tobytes(), y.tobytes(), v.tobytes()))
+            return real(e, t, y, v)
+
+        def never(*args):
+            raise AssertionError("evaluate called on finite values")
+
+        monkeypatch.setattr(variational, "evaluate_array", spy)
+        monkeypatch.setattr(variational, "evaluate", never)
+        return seen
+
+    @pytest.fixture
+    def trials(self, monkeypatch):
+        from tsvar import variational
+
+        made = []
+        real = variational._moved
+
+        def spy(*args):
+            made.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(variational, "_moved", spy)
+        return made
+
+    def test_solve_evaluates_once_per_iterate(self, evaluations, trials):
+        p = self.problems(h=1 / 300)[0]
+        sol = solve(p)
+        # the gradient's two partials at the start and at every trial, the
+        # Hessian's three at every accepted iterate that takes a step, and
+        # L once for the functional value
+        assert sol.iterations >= 3
+        assert len(evaluations) == 2 * (1 + len(trials)) + 3 * sol.iterations + 1
+        assert len(set(evaluations)) == len(evaluations)
+
+    def test_one_step_solve_makes_eight_evaluations(self, evaluations, trials):
+        sol = solve(classical(L=Lagrangian.from_text("v^2 + y^2"), h=0.01))
+        assert (sol.iterations, len(trials), len(evaluations)) == (1, 1, 8)
+
+    def test_solve_iso_evaluates_once_per_iterate(self, evaluations, trials):
+        # five per iterate (two partials of each integrand and the constraint
+        # value), six second partials per step, and L once
+        for iso in self.iso_problems(h=1 / 300):
+            evaluations.clear()
+            trials.clear()
+            sol = solve_iso(iso)
+            assert len(evaluations) == 5 * (1 + len(trials)) + 6 * sol.iterations + 1
+            assert len(set(evaluations)) == len(evaluations)
+
+    def test_singular_accepted_iterate_raises_as_before(self):
+        # the line search accepts an iterate whose last term's y partial is
+        # nan, since the gradient does not read it; the next checked read
+        # raises at that term, in both loops
+        from helpers import reference_solve
+        from tsvar.errors import EvaluationError
+
+        lag = Lagrangian.from_text("v^2 - 20*y^2 + y*log(v + 100*(0.9 - t))")
+        p = classical(L=lag, alpha=-1.0, beta=0.0, h=0.1)
+        with pytest.raises(EvaluationError) as got:
+            solve(p)
+        with pytest.raises(EvaluationError) as want:
+            reference_solve(p)
+        assert str(got.value) == str(want.value)
+        # the affine start's last slope is 1, where the log is finite
+        assert str(got.value).startswith(
+            "cannot evaluate expression at t=0.9, y=0.0, v=-")
+
+
 class TestScipyFree:
     def test_solvers_above_threshold_do_not_import_scipy(self):
         # cyclic reduction and the Schur step must stay numpy-only
@@ -556,7 +767,8 @@ class TestScipyFree:
             assert "scipy" not in sys.modules, sorted(
                 name for name in sys.modules if name.startswith("scipy"))
         """
-        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=child_env())
         assert cp.returncode == 0, cp.stderr
 
 
