@@ -353,27 +353,15 @@ def evaluate(e: Expr, t: Any, y: Any, v: Any) -> float | np.ndarray:
     A value is singular when it is nan or infinite; EvaluationError names
     the first singular point.
     """
-    if isinstance(t, float) and isinstance(y, float) and isinstance(v, float):
-        # a point of floats needs no broadcasting: the walker's result is a
-        # scalar, and the same value evaluate_array would hold
-        with np.errstate(all="ignore"):
-            value = float(_ev_arr(e, t, y, v))
-        if not math.isfinite(value):
-            raise _singular(float(t), float(y), float(v), value)
-        return value
     out = evaluate_array(e, t, y, v)
     finite = np.isfinite(out)
     if not finite.all():
         i = int(np.argmin(finite))
         t, y, v = (float(np.broadcast_to(a, out.shape).flat[i]) for a in (t, y, v))
-        raise _singular(t, y, v, float(out.flat[i]))
+        raise EvaluationError(
+            f"cannot evaluate expression at t={t!r}, y={y!r}, v={v!r}: "
+            f"the value is {float(out.flat[i])!r}", t=t, y=y, v=v)
     return float(out) if out.ndim == 0 else out
-
-
-def _singular(t: float, y: float, v: float, value: float) -> EvaluationError:
-    return EvaluationError(
-        f"cannot evaluate expression at t={t!r}, y={y!r}, v={v!r}: "
-        f"the value is {value!r}", t=t, y=y, v=v)
 
 
 def evaluate_array(e: Expr, t: Any, y: Any, v: Any) -> np.ndarray:

@@ -136,78 +136,79 @@ def _second_partials(lag: Lagrangian) -> _SecondPartials:
             differentiate(lag.dL_dv, "v"))
 
 
+def _checked(e: Expr, values: np.ndarray, tA: np.ndarray, Y: np.ndarray,
+             V: np.ndarray) -> np.ndarray:
+    """values, the values of e at (tA, Y, V); EvaluationError at the first
+    non-finite one, as evaluate raises it."""
+    if not np.isfinite(values).all():
+        evaluate(e, tA, Y, V)  # raises at the first such point
+    return values
+
+
+def _hess(second: _SecondPartials, u: float, tA: np.ndarray, Y: np.ndarray,
+          V: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tridiagonal Hessian of the discretized functional at the packed
+    arguments as its two bands: the diagonal (m values) and the symmetric
+    off-diagonal (m - 1 values)."""
+    A, B, C = (_checked(e, evaluate_array(e, tA, Y, V), tA, Y, V) for e in second)
+    u3 = u ** 3
+    cw = C / wts
+    if u > 0:
+        diag = u3 * (wts[:-1] * A[:-1] + 2.0 * B[:-1] + cw[:-1] + cw[1:])
+        off = -u3 * (B[1:-1] + cw[1:-1])
+    else:
+        diag = u3 * (wts[1:] * A[1:] - 2.0 * B[1:] + cw[1:] + cw[:-1])
+        off = u3 * (B[1:-1] - cw[1:-1])
+    return diag, off
+
+
 class _Iterate:
     """A trajectory ys on the grid ts as the integrand lag sees it in the
     direction u: the packed arguments, and lag's value and first partials
     there, each evaluated at most once, so the gradient, functional and
-    residual of one iterate share their evaluations. The Hessian's second
-    partials are read once per iterate and are not kept.
+    residual of one iterate share their evaluations.
 
     A checked read raises EvaluationError at the first non-finite value, as
     evaluate does; an unchecked one, as a line-search trial makes, returns
     the values as they are.
     """
 
-    def __init__(self, lag: Lagrangian | None, u: float, ts: np.ndarray,
-                 ys: np.ndarray):
+    def __init__(self, lag: Lagrangian, u: float, ts: np.ndarray, ys: np.ndarray):
         self.lag, self.u = lag, u
-        self.tA, self.Y, self.V, self.wts = _pack(u, ts, ys)
-        self._seen: dict[str, list] = {}  # "L", "dL_dy", "dL_dv" -> [values, checked]
-        self._grad: np.ndarray | None = None
+        self.args = _pack(u, ts, ys)  # tA, Y, V, wts
+        self._values: dict[str, np.ndarray] = {}  # by name: "L", "dL_dy", "dL_dv"
+        self._checked: set[str] = set()
 
     def values(self, name: str, checked: bool = True) -> np.ndarray:
-        entry = self._seen.get(name)
-        if entry is None:
-            e = getattr(self.lag, name)
-            entry = [evaluate_array(e, self.tA, self.Y, self.V), False]
-            self._seen[name] = entry
-        if checked and not entry[1]:
-            self._check(getattr(self.lag, name), entry[0])
-            entry[1] = True
-        return entry[0]
-
-    def _check(self, e: Expr, values: np.ndarray) -> np.ndarray:
-        if not np.isfinite(values).all():
-            evaluate(e, self.tA, self.Y, self.V)  # raises at the first such point
-        return values
+        tA, Y, V, _ = self.args
+        e = getattr(self.lag, name)
+        vals = self._values.get(name)
+        if vals is None:
+            vals = self._values[name] = evaluate_array(e, tA, Y, V)
+        if checked and name not in self._checked:
+            _checked(e, vals, tA, Y, V)
+            self._checked.add(name)
+        return vals
 
     def functional(self, checked: bool = True) -> float:
-        return self.u * float(np.sum(self.values("L", checked) * self.wts))
+        return self.u * float(np.sum(self.values("L", checked) * self.args[3]))
 
     def grad(self, checked: bool = True) -> np.ndarray:
         """Gradient of the discretized functional with respect to interior
         values."""
         p2 = self.values("dL_dy", checked)
         p3 = self.values("dL_dv", checked)
-        if self._grad is None:
-            u, wts = self.u, self.wts
-            if u > 0:
-                self._grad = u * u * (wts[:-1] * p2[:-1] + p3[:-1] - p3[1:])
-            else:
-                self._grad = u * u * (wts[1:] * p2[1:] - p3[1:] + p3[:-1])
-        return self._grad
-
-    def hess(self, second: _SecondPartials) -> tuple[np.ndarray, np.ndarray]:
-        """Tridiagonal Hessian of the discretized functional as its two bands:
-        the diagonal (m values) and the symmetric off-diagonal (m - 1 values)."""
-        A, B, C = (self._check(e, evaluate_array(e, self.tA, self.Y, self.V))
-                   for e in second)
-        u3, wts = self.u ** 3, self.wts
-        cw = C / wts
-        if self.u > 0:
-            diag = u3 * (wts[:-1] * A[:-1] + 2.0 * B[:-1] + cw[:-1] + cw[1:])
-            off = -u3 * (B[1:-1] + cw[1:-1])
-        else:
-            diag = u3 * (wts[1:] * A[1:] - 2.0 * B[1:] + cw[1:] + cw[:-1])
-            off = u3 * (B[1:-1] - cw[1:-1])
-        return diag, off
+        u, wts = self.u, self.args[3]
+        if u > 0:
+            return u * u * (wts[:-1] * p2[:-1] + p3[:-1] - p3[1:])
+        return u * u * (wts[1:] * p2[1:] - p3[1:] + p3[:-1])
 
     def residual(self) -> np.ndarray:
         """Stationarity residual at every point where the shifted indices
         exist: grid indices 0..N-2 for u > 0, and 2..N for u < 0."""
         p2 = self.values("dL_dy")
         g = self.values("dL_dv")
-        u, wts = self.u, self.wts
+        u, wts = self.u, self.args[3]
         if u > 0:
             return u * ((g[1:] - g[:-1]) / wts[:-1] - p2[:-1])
         return u * ((g[1:] - g[:-1]) / wts[1:] - p2[1:])
@@ -225,7 +226,7 @@ def _grad_raw(lag: Lagrangian, u: float, ts: np.ndarray, ys: np.ndarray,
 
 def _hess_raw(second: _SecondPartials, u: float, ts: np.ndarray,
               ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return _Iterate(None, u, ts, ys).hess(second)
+    return _hess(second, u, *_pack(u, ts, ys))
 
 
 def _residual_raw(lag: Lagrangian, u: float, ts: np.ndarray,
@@ -252,7 +253,9 @@ _CR_MIN_UNKNOWNS = 512
 
 # Cyclic reduction stops once at most this many unknowns are left and
 # factors the rest by a scalar sweep: a level on fewer unknowns costs more
-# in numpy call overhead than the sweep's Python loop.
+# in numpy call overhead than the sweep's Python loop. Tails of 15 to 127
+# unknowns time within about 10% of each other, 63 the fastest
+# (CHANGES.md has the timings).
 _CR_TAIL = 63
 
 
@@ -579,7 +582,7 @@ def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution
                 f"no convergence after {max_iter} Newton steps "
                 f"(stationarity norm {float(np.max(np.abs(g))):.3e})",
                 last=tuple(ys.tolist()))
-        [step] = _solve_tridiagonal(*at.hess(second), -g)
+        [step] = _solve_tridiagonal(*_hess(second, u, *at.args), -g)
         if not np.all(np.isfinite(step)):
             raise SingularSystemError("Newton step is not finite")
         (ys, at), g = _backtrack(trial, g, tol, ys)
@@ -728,12 +731,13 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
     lam_g = 0.0
     m = len(grid.points) - 2
 
-    # both integrands at z, and the system's value there
+    # both integrands at z, the constraint's gradient there, and the
+    # system's value
     def system(z: np.ndarray, lam_val: float, checked: bool):
         at_l, at_g = _Iterate(iso.L, u, ts, z), _Iterate(iso.G, w, ts, z)
         gl, gg = at_l.grad(checked), at_g.grad(checked)
         cons = at_g.functional(checked) - iso.K
-        return (at_l, at_g), np.concatenate([gl - lam_val * gg, [cons]])
+        return (at_l, at_g, gg), np.concatenate([gl - lam_val * gg, [cons]])
 
     # the line search's trial at alpha along the current iterate's step
     def trial(alpha: float):
@@ -742,7 +746,7 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
         at_z, phi_z = system(z, lam_try, checked=False)
         return (z, lam_try, at_z), phi_z
 
-    (at_l, at_g), phi = system(ys, lam_g, checked=True)
+    (at_l, at_g, gg), phi = system(ys, lam_g, checked=True)
     iterations = 0
     while float(np.max(np.abs(phi))) > tol:
         if iterations >= max_iter:
@@ -750,13 +754,14 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
                 f"no convergence after {max_iter} Newton steps "
                 f"(system norm {float(np.max(np.abs(phi))):.3e})",
                 last=tuple(ys.tolist()))
-        gg = at_g.grad()
-        diag_l, off_l = at_l.hess(second_l)
-        diag_g, off_g = at_g.hess(second_g)
+        for name in ("dL_dy", "dL_dv"):  # a trial computed gg unchecked
+            at_g.values(name)
+        diag_l, off_l = _hess(second_l, u, *at_l.args)
+        diag_g, off_g = _hess(second_g, w, *at_g.args)
         step, dlam = _bordered_step(diag_l - lam_g * diag_g,
                                     off_l - lam_g * off_g, gg, phi)
         try:
-            (ys, lam_g, (at_l, at_g)), phi = _backtrack(trial, phi, tol, ys)
+            (ys, lam_g, (at_l, at_g, gg)), phi = _backtrack(trial, phi, tol, ys)
         except IterationLimitError:
             cons_gap = abs(float(phi[m]))
             if cons_gap > tol and float(np.max(np.abs(gg))) <= max(tol, 1e-12):

@@ -158,49 +158,20 @@ class TestSingularValues:
         ("y*y*1e300", (0.0, 1e10, 0.0)),
     ]
 
-    AGREE = [
+    @pytest.mark.parametrize("text, point", [
         ("sin(t)*v + exp(y/3)", (0.3, -1.2, 2.5)),
         ("sqrt(1 + v^2)*exp(y/4)", (0.0, 1.5, -0.75)),
         ("log(y)/t - cos(v)^3", (2.0, 0.5, 1.25)),
         ("y^t + t^2.5", (1.5, 3.0, 0.0)),
         ("1/(1/t)", (0.0, 0.0, 0.0)),
         ("-(t - y)/(v*v + 1)", (1e-300, -1e300, 1e150)),
-    ]
-
-    @pytest.mark.parametrize("text, point", AGREE)
+    ])
     def test_scalar_and_array_agree(self, text, point):
         e = parse(text)
         value = evaluate(e, *point)
         assert type(value) is float
         arr = evaluate_array(e, *(np.full(3, x) for x in point))
         assert arr.tolist() == [value] * 3
-
-    @pytest.mark.parametrize("text, point", AGREE)
-    def test_float_point_does_not_broadcast(self, monkeypatch, text, point):
-        # a point of floats, numpy scalars included, skips evaluate_array and
-        # still gets the value its one-element arrays get, bit for bit
-        from tsvar import lagrangian
-
-        e = parse(text)
-        want = evaluate_array(e, *(np.array([x]) for x in point)).tolist()
-
-        def not_called(*args):
-            raise AssertionError("a point of floats went through evaluate_array")
-
-        monkeypatch.setattr(lagrangian, "evaluate_array", not_called)
-        assert [evaluate(e, *point)] == want
-        assert [evaluate(e, *map(np.float64, point))] == want
-
-    @pytest.mark.parametrize("text, point", SINGULAR)
-    def test_float_point_error_is_the_array_error(self, text, point):
-        e = parse(text)
-        with pytest.raises(EvaluationError) as scalar:
-            evaluate(e, *point)
-        with pytest.raises(EvaluationError) as arr:
-            evaluate(e, *(np.array([x]) for x in point))
-        assert str(scalar.value) == str(arr.value)
-        assert str(scalar.value).endswith(
-            f"the value is {float(evaluate_array(e, *point))!r}")
 
     def test_reciprocal_of_reciprocal_at_zero_is_zero(self):
         assert evaluate(parse("1/(1/t)"), 0.0, 0.0, 0.0) == 0.0
