@@ -9,14 +9,17 @@ and the functions sin, cos, exp, log, sqrt. Grammar:
     base   := number | var | func '(' expr ')' | '(' expr ')' | '-' base
 
 '^' is right associative. A power with a non-constant exponent is rewritten
-through exp/log at parse time so symbolic derivatives stay exact.
+through exp/log at parse time so symbolic derivatives stay exact. Nesting is
+bounded by MAX_DEPTH, so that every recursive walk over a tree stays within
+Python's default recursion limit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Union
+from functools import cached_property
+from typing import Any, Callable, Union
 
 import numpy as np
 
@@ -35,6 +38,15 @@ __all__ = [
 
 VARIABLES = ("t", "y", "v")
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
+
+# The most levels an expression may nest: parentheses, calls, unary minus
+# signs and powers open at once while parsing, and levels below the root of
+# the parsed tree, where each operator of a chain such as y + y + y adds one.
+# Every walk over a tree recurses, and a second partial can be six times as
+# deep as its integrand (a chain of quotients); at this depth every walk
+# keeps 400 of Python's default 1000 frames spare (CHANGES.md has the
+# measurements).
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -215,10 +227,31 @@ def _pow(base: Expr, exponent: Expr) -> Expr:
 
 # -- parser ---------------------------------------------------------------------
 
+def _too_deep(offset: int | None = None) -> ExpressionSyntaxError:
+    where = f" at offset {offset}" if offset is not None else ""
+    return ExpressionSyntaxError(
+        f"expression nests more than {MAX_DEPTH} levels deep{where}; each "
+        "operator, parenthesis and function call adds a level", offset=offset)
+
+
+def _deeper_than_limit(e: Expr) -> bool:
+    """Whether e's tree has more than MAX_DEPTH levels below its root,
+    found level by level rather than by recursion."""
+    level = [e]
+    for _ in range(MAX_DEPTH + 1):
+        level = [c for n in level
+                 for c in ((n.arg,) if isinstance(n, (Neg, Call))
+                           else (n.left, n.right) if isinstance(n, BinOp) else ())]
+        if not level:
+            return False
+    return True
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # parentheses, calls, unary minus signs and powers open
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -243,6 +276,17 @@ class _Parser:
             raise ExpressionSyntaxError(
                 f"unexpected trailing input {tok[1]!r} at offset {tok[2]}",
                 offset=tok[2])
+        if _deeper_than_limit(e):
+            raise _too_deep()
+        return e
+
+    def nested(self, parse_inner: Callable[[], Expr]) -> Expr:
+        """parse_inner() one level further in."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise _too_deep(self.peek()[2])
+        e = parse_inner()
+        self.depth -= 1
         return e
 
     def expr(self) -> Expr:
@@ -263,7 +307,7 @@ class _Parser:
         b = self.base()
         if self.peek()[0] == "^":
             self.take()
-            return _pow(b, self.factor())
+            return _pow(b, self.nested(self.factor))
         return b
 
     def base(self) -> Expr:
@@ -277,19 +321,19 @@ class _Parser:
                 return Var(text)
             if text in FUNCTIONS:
                 self.expect("(", "'(' after function name")
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 self.expect(")", "')'")
                 return _call(text, arg)
             raise UnknownIdentifierError(
                 f"unknown identifier {text!r} at offset {offset}", offset=offset)
         if kind == "(":
             self.take()
-            e = self.expr()
+            e = self.nested(self.expr)
             self.expect(")", "')'")
             return e
         if kind == "-":
             self.take()
-            return _neg(self.base())
+            return _neg(self.nested(self.base))
         found = repr(text) if kind != "end" else "end of input"
         raise ExpressionSyntaxError(
             f"expected a number, variable, function or '(', found {found} "
@@ -417,11 +461,18 @@ def to_text(e: Expr) -> str:
 
 @dataclass(frozen=True)
 class Lagrangian:
-    """An integrand L(t, y, v) with exact symbolic partials in y and v."""
+    """An integrand L(t, y, v) with exact symbolic partials in y and v, and
+    the second partials (L_yy, L_yv, L_vv), built on first use and kept."""
 
     L: Expr
     dL_dy: Expr
     dL_dv: Expr
+
+    @cached_property
+    def second_partials(self) -> tuple[Expr, Expr, Expr]:
+        return (differentiate(self.dL_dy, "y"),
+                differentiate(self.dL_dy, "v"),
+                differentiate(self.dL_dv, "v"))
 
     @classmethod
     def from_expr(cls, L: Expr) -> "Lagrangian":

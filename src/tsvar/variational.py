@@ -27,7 +27,7 @@ from .errors import (
     ParameterError,
     SingularSystemError,
 )
-from .lagrangian import Expr, Lagrangian, differentiate, evaluate, evaluate_array
+from .lagrangian import Expr, Lagrangian, evaluate, evaluate_array
 from .timescale import SampleGrid, TimeScale
 
 __all__ = [
@@ -117,25 +117,6 @@ class VerifyReport:
 
 # -- one trajectory under one integrand ------------------------------------------
 
-def _pack(u: float, ts: np.ndarray, ys: np.ndarray):
-    """Integrand arguments per term: base points, scaled y slot, scaled v slot,
-    and the step weights, in the direction selected by the sign of u."""
-    steps = ts[1:] - ts[:-1]
-    slopes = (ys[1:] - ys[:-1]) / steps
-    if u > 0:
-        return ts[:-1], u * ys[1:], u * slopes, steps
-    return ts[1:], u * ys[:-1], u * slopes, steps
-
-
-_SecondPartials = tuple[Expr, Expr, Expr]
-
-
-def _second_partials(lag: Lagrangian) -> _SecondPartials:
-    return (differentiate(lag.dL_dy, "y"),
-            differentiate(lag.dL_dy, "v"),
-            differentiate(lag.dL_dv, "v"))
-
-
 def _checked(e: Expr, values: np.ndarray, tA: np.ndarray, Y: np.ndarray,
              V: np.ndarray) -> np.ndarray:
     """values, the values of e at (tA, Y, V); EvaluationError at the first
@@ -145,28 +126,12 @@ def _checked(e: Expr, values: np.ndarray, tA: np.ndarray, Y: np.ndarray,
     return values
 
 
-def _hess(second: _SecondPartials, u: float, tA: np.ndarray, Y: np.ndarray,
-          V: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tridiagonal Hessian of the discretized functional at the packed
-    arguments as its two bands: the diagonal (m values) and the symmetric
-    off-diagonal (m - 1 values)."""
-    A, B, C = (_checked(e, evaluate_array(e, tA, Y, V), tA, Y, V) for e in second)
-    u3 = u ** 3
-    cw = C / wts
-    if u > 0:
-        diag = u3 * (wts[:-1] * A[:-1] + 2.0 * B[:-1] + cw[:-1] + cw[1:])
-        off = -u3 * (B[1:-1] + cw[1:-1])
-    else:
-        diag = u3 * (wts[1:] * A[1:] - 2.0 * B[1:] + cw[1:] + cw[:-1])
-        off = u3 * (B[1:-1] - cw[1:-1])
-    return diag, off
-
-
 class _Iterate:
     """A trajectory ys on the grid ts as the integrand lag sees it in the
     direction u: the packed arguments, and lag's value and first partials
     there, each evaluated at most once, so the gradient, functional and
-    residual of one iterate share their evaluations.
+    residual of one iterate share their evaluations. The solvers and the
+    public checks read every figure of a trajectory from such a record.
 
     A checked read raises EvaluationError at the first non-finite value, as
     evaluate does; an unchecked one, as a line-search trial makes, returns
@@ -175,7 +140,13 @@ class _Iterate:
 
     def __init__(self, lag: Lagrangian, u: float, ts: np.ndarray, ys: np.ndarray):
         self.lag, self.u = lag, u
-        self.args = _pack(u, ts, ys)  # tA, Y, V, wts
+        # per term: base points, scaled y slot, scaled v slot, step weights
+        steps = ts[1:] - ts[:-1]
+        slopes = (ys[1:] - ys[:-1]) / steps
+        if u > 0:
+            self.args = ts[:-1], u * ys[1:], u * slopes, steps
+        else:
+            self.args = ts[1:], u * ys[:-1], u * slopes, steps
         self._values: dict[str, np.ndarray] = {}  # by name: "L", "dL_dy", "dL_dv"
         self._checked: set[str] = set()
 
@@ -203,6 +174,23 @@ class _Iterate:
             return u * u * (wts[:-1] * p2[:-1] + p3[:-1] - p3[1:])
         return u * u * (wts[1:] * p2[1:] - p3[1:] + p3[:-1])
 
+    def hess(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tridiagonal Hessian of the discretized functional as its two
+        bands: the diagonal (m values) and the symmetric off-diagonal
+        (m - 1 values)."""
+        tA, Y, V, wts = self.args
+        A, B, C = (_checked(e, evaluate_array(e, tA, Y, V), tA, Y, V)
+                   for e in self.lag.second_partials)
+        u3 = self.u ** 3
+        cw = C / wts
+        if self.u > 0:
+            diag = u3 * (wts[:-1] * A[:-1] + 2.0 * B[:-1] + cw[:-1] + cw[1:])
+            off = -u3 * (B[1:-1] + cw[1:-1])
+        else:
+            diag = u3 * (wts[1:] * A[1:] - 2.0 * B[1:] + cw[1:] + cw[:-1])
+            off = u3 * (B[1:-1] - cw[1:-1])
+        return diag, off
+
     def residual(self) -> np.ndarray:
         """Stationarity residual at every point where the shifted indices
         exist: grid indices 0..N-2 for u > 0, and 2..N for u < 0."""
@@ -212,26 +200,6 @@ class _Iterate:
         if u > 0:
             return u * ((g[1:] - g[:-1]) / wts[:-1] - p2[:-1])
         return u * ((g[1:] - g[:-1]) / wts[1:] - p2[1:])
-
-
-def _functional_raw(lag: Lagrangian, u: float, ts: np.ndarray, ys: np.ndarray,
-                    checked: bool = True) -> float:
-    return _Iterate(lag, u, ts, ys).functional(checked)
-
-
-def _grad_raw(lag: Lagrangian, u: float, ts: np.ndarray, ys: np.ndarray,
-              checked: bool = True) -> np.ndarray:
-    return _Iterate(lag, u, ts, ys).grad(checked)
-
-
-def _hess_raw(second: _SecondPartials, u: float, ts: np.ndarray,
-              ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return _hess(second, u, *_pack(u, ts, ys))
-
-
-def _residual_raw(lag: Lagrangian, u: float, ts: np.ndarray,
-                  ys: np.ndarray) -> np.ndarray:
-    return _Iterate(lag, u, ts, ys).residual()
 
 
 _SINGULAR = "Newton matrix is singular at the current iterate"
@@ -412,21 +380,22 @@ def _interior(u: float, values: np.ndarray) -> np.ndarray:
     return values[2:] if u > 0 else values[:-2]
 
 
-def _interior_residual(problem: Problem, ts: np.ndarray, ys: np.ndarray,
-                       lam0: float | None = None,
-                       lam: float | None = None) -> np.ndarray:
-    """Residual on the doubly truncated interior; with the multiplier pair,
-    the combined residual lam0 * (L side) - lam * (constraint side)."""
+def _interior_residual(problem: Problem, at: _Iterate, ts: np.ndarray,
+                       ys: np.ndarray, lam0: float | None,
+                       lam: float | None) -> np.ndarray:
+    """Residual on the doubly truncated interior of the trajectory ys, with
+    at its record under problem.L; with the multiplier pair, the combined
+    residual lam0 * (L side) - lam * (constraint side)."""
     if (lam0 is not None or lam is not None) and not isinstance(problem, IsoProblem):
         raise ParameterError("multipliers are only meaningful for IsoProblem")
     if (lam0 is None) != (lam is None):
         raise ParameterError(
             "give both multipliers lam0 and lam, or neither: "
             f"got lam0={lam0!r}, lam={lam!r}")
-    res = _interior(problem.u, _residual_raw(problem.L, problem.u, ts, ys))
+    res = _interior(problem.u, at.residual())
     if lam is None:
         return res
-    res_g = _interior(problem.w, _residual_raw(problem.G, problem.w, ts, ys))
+    res_g = _interior(problem.w, _Iterate(problem.G, problem.w, ts, ys).residual())
     return lam0 * res - lam * res_g
 
 
@@ -459,7 +428,7 @@ def functional_value(problem: Problem, y: GridFunction) -> float:
     """Value of the direction-scaled functional along a trajectory."""
     _require_grid(problem, y)
     _require_boundaries(problem, y)
-    return _functional_raw(problem.L, problem.u, y.grid.points, y.values)
+    return _Iterate(problem.L, problem.u, y.grid.points, y.values).functional()
 
 
 def el_residual(problem: Problem, y: GridFunction) -> GridFunction:
@@ -474,7 +443,7 @@ def el_residual(problem: Problem, y: GridFunction) -> GridFunction:
     n = len(grid.points)
     if n < 3:
         raise DegenerateScaleError("the residual needs at least three grid points")
-    res = _residual_raw(problem.L, problem.u, grid.points, y.values)
+    res = _Iterate(problem.L, problem.u, grid.points, y.values).residual()
     if problem.u > 0:
         sub = SampleGrid(grid.points[:-2], grid.dense_flags[:-2])
     else:
@@ -492,8 +461,10 @@ def residual_column(problem: Problem, y: GridFunction,
     grid = _require_grid(problem, y)
     if enforce_boundaries:
         _require_boundaries(problem, y)
-    n = len(grid.points)
-    res = _interior_residual(problem, grid.points, y.values, lam0, lam)
+    n, ts, ys = len(grid.points), grid.points, y.values
+    # the record is dropped before the list is built
+    res = _interior_residual(problem, _Iterate(problem.L, problem.u, ts, ys),
+                             ts, ys, lam0, lam)
     col: list[float | None] = [None] * n
     col[2:n - 2] = res.tolist()
     return col
@@ -520,12 +491,12 @@ def verify(problem: Problem, y: GridFunction, tol: float,
     grid = _require_grid(problem, y)
     boundary_ok = _ends(y) == (problem.alpha, problem.beta)
     ts, ys = grid.points, y.values
-    residual_max = _interior_max(_interior_residual(problem, ts, ys, lam0, lam))
-    value = _functional_raw(problem.L, problem.u, ts, ys)
+    at = _Iterate(problem.L, problem.u, ts, ys)
+    residual_max = _interior_max(_interior_residual(problem, at, ts, ys, lam0, lam))
     return VerifyReport(
         boundary_ok=boundary_ok,
         residual_max=residual_max,
-        functional_value=value,
+        functional_value=at.functional(),
         passed=boundary_ok and residual_max <= tol,
     )
 
@@ -564,7 +535,6 @@ def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution
         raise ParameterError(f"max_iter must be nonnegative, got {max_iter!r}")
     grid, ts = _prepared_grid(problem)
     lag, u = problem.L, problem.u
-    second = _second_partials(lag)
     ys = _affine_start(problem, ts)
 
     # the line search's trial at alpha along the current iterate's step
@@ -582,7 +552,7 @@ def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution
                 f"no convergence after {max_iter} Newton steps "
                 f"(stationarity norm {float(np.max(np.abs(g))):.3e})",
                 last=tuple(ys.tolist()))
-        [step] = _solve_tridiagonal(*_hess(second, u, *at.args), -g)
+        [step] = _solve_tridiagonal(*at.hess(), -g)
         if not np.all(np.isfinite(step)):
             raise SingularSystemError("Newton step is not finite")
         (ys, at), g = _backtrack(trial, g, tol, ys)
@@ -614,9 +584,11 @@ def _backtrack(trial, phi: np.ndarray, tol: float, ys: np.ndarray):
     phi0 = 0.5 * float(phi @ phi)
     alpha = 1.0
     while alpha >= 1e-12:
-        point, phit = trial(alpha)
-        if np.all(np.isfinite(phit)):
+        # a trial is unchecked and may overflow; a non-finite one is rejected
+        with np.errstate(all="ignore"):
+            point, phit = trial(alpha)
             phi1 = 0.5 * float(phit @ phit)
+        if np.all(np.isfinite(phit)):
             if phi1 <= phi0 * (1.0 - 1e-4 * alpha) or float(np.max(np.abs(phit))) <= tol:
                 return point, phit
         alpha *= 0.5
@@ -725,8 +697,6 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
         raise ParameterError(f"max_iter must be nonnegative, got {max_iter!r}")
     grid, ts = _prepared_grid(iso)
     u, w = iso.u, iso.w
-    second_l = _second_partials(iso.L)
-    second_g = _second_partials(iso.G)
     ys = _affine_start(iso, ts)
     lam_g = 0.0
     m = len(grid.points) - 2
@@ -756,8 +726,8 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
                 last=tuple(ys.tolist()))
         for name in ("dL_dy", "dL_dv"):  # a trial computed gg unchecked
             at_g.values(name)
-        diag_l, off_l = _hess(second_l, u, *at_l.args)
-        diag_g, off_g = _hess(second_g, w, *at_g.args)
+        diag_l, off_l = at_l.hess()
+        diag_g, off_g = at_g.hess()
         step, dlam = _bordered_step(diag_l - lam_g * diag_g,
                                     off_l - lam_g * off_g, gg, phi)
         try:

@@ -211,34 +211,33 @@ def reference_read_grid_csv(stream, scale: TimeScale | None = None
 
 def reference_solve(problem, tol: float = 1e-10, max_iter: int = 100):
     """solve with one call per figure: every gradient, Hessian, residual and
-    functional value packs and evaluates its own arguments."""
+    functional value packs and evaluates its own arguments in a fresh
+    record."""
     from tsvar import GridFunction, Solution
     from tsvar.variational import (
-        _affine_start, _backtrack, _functional_raw, _grad_raw, _hess_raw,
-        _interior, _interior_max, _moved, _prepared_grid, _residual_raw,
-        _second_partials, _solve_tridiagonal)
+        _affine_start, _backtrack, _interior, _interior_max, _Iterate, _moved,
+        _prepared_grid, _solve_tridiagonal)
 
     grid, ts = _prepared_grid(problem)
     lag, u = problem.L, problem.u
-    second = _second_partials(lag)
     ys = _affine_start(problem, ts)
 
     def trial(alpha):
         z = _moved(ys, step, alpha)
-        return z, _grad_raw(lag, u, ts, z, checked=False)
+        return z, _Iterate(lag, u, ts, z).grad(checked=False)
 
-    g = _grad_raw(lag, u, ts, ys)
+    g = _Iterate(lag, u, ts, ys).grad()
     iterations = 0
     while float(np.max(np.abs(g))) > tol:
         assert iterations < max_iter
-        [step] = _solve_tridiagonal(*_hess_raw(second, u, ts, ys), -g)
+        [step] = _solve_tridiagonal(*_Iterate(lag, u, ts, ys).hess(), -g)
         assert np.all(np.isfinite(step))
         ys, g = _backtrack(trial, g, tol, ys)
         iterations += 1
-    res = _interior(u, _residual_raw(lag, u, ts, ys))
+    res = _interior(u, _Iterate(lag, u, ts, ys).residual())
     return Solution(
         y=GridFunction(grid, ys),
-        functional_value=_functional_raw(lag, u, ts, ys),
+        functional_value=_Iterate(lag, u, ts, ys).functional(),
         residual_max=_interior_max(res),
         iterations=iterations,
     )
@@ -248,21 +247,18 @@ def reference_solve_iso(iso, tol: float = 1e-10, max_iter: int = 100):
     """solve_iso with one call per figure, as reference_solve."""
     from tsvar import GridFunction, Solution
     from tsvar.variational import (
-        _affine_start, _backtrack, _bordered_step, _functional_raw, _grad_raw,
-        _hess_raw, _interior, _interior_max, _moved, _prepared_grid,
-        _residual_raw, _second_partials)
+        _affine_start, _backtrack, _bordered_step, _interior, _interior_max,
+        _Iterate, _moved, _prepared_grid)
 
     grid, ts = _prepared_grid(iso)
     u, w = iso.u, iso.w
-    second_l = _second_partials(iso.L)
-    second_g = _second_partials(iso.G)
     ys = _affine_start(iso, ts)
     lam_g = 0.0
 
     def system(z, lam_val, checked):
-        gl = _grad_raw(iso.L, u, ts, z, checked=checked)
-        gg = _grad_raw(iso.G, w, ts, z, checked=checked)
-        cons = _functional_raw(iso.G, w, ts, z, checked=checked) - iso.K
+        gl = _Iterate(iso.L, u, ts, z).grad(checked)
+        gg = _Iterate(iso.G, w, ts, z).grad(checked)
+        cons = _Iterate(iso.G, w, ts, z).functional(checked) - iso.K
         return np.concatenate([gl - lam_val * gg, [cons]])
 
     def trial(alpha):
@@ -274,23 +270,23 @@ def reference_solve_iso(iso, tol: float = 1e-10, max_iter: int = 100):
     iterations = 0
     while float(np.max(np.abs(phi))) > tol:
         assert iterations < max_iter
-        gg = _grad_raw(iso.G, w, ts, ys)
-        diag_l, off_l = _hess_raw(second_l, u, ts, ys)
-        diag_g, off_g = _hess_raw(second_g, w, ts, ys)
+        gg = _Iterate(iso.G, w, ts, ys).grad()
+        diag_l, off_l = _Iterate(iso.L, u, ts, ys).hess()
+        diag_g, off_g = _Iterate(iso.G, w, ts, ys).hess()
         step, dlam = _bordered_step(diag_l - lam_g * diag_g,
                                     off_l - lam_g * off_g, gg, phi)
         (ys, lam_g), phi = _backtrack(trial, phi, tol, ys)
         iterations += 1
-    res_g = _interior(w, _residual_raw(iso.G, w, ts, ys))
+    res_g = _interior(w, _Iterate(iso.G, w, ts, ys).residual())
     if _interior_max(res_g) <= tol:
         lam0, lam_out, normal = 0.0, 1.0, False
     else:
         lam0, lam_out, normal = 1.0, lam_g * w / u, True
-    res = (lam0 * _interior(u, _residual_raw(iso.L, u, ts, ys))
-           - lam_out * _interior(w, _residual_raw(iso.G, w, ts, ys)))
+    res = (lam0 * _interior(u, _Iterate(iso.L, u, ts, ys).residual())
+           - lam_out * _interior(w, _Iterate(iso.G, w, ts, ys).residual()))
     return Solution(
         y=GridFunction(grid, ys),
-        functional_value=_functional_raw(iso.L, u, ts, ys),
+        functional_value=_Iterate(iso.L, u, ts, ys).functional(),
         residual_max=_interior_max(res),
         iterations=iterations,
         lam=lam_out,

@@ -101,6 +101,19 @@ class TestSolve:
         assert len(cp.stderr.splitlines()) == 1, cp.stderr
         assert cp.stderr.startswith("error: cannot evaluate expression at t=")
 
+    def test_overflowing_line_search_writes_one_line(self, tmp_path: Path):
+        # the line search's trials overflow before the iteration limit
+        prob = tmp_path / "stall.prob"
+        prob.write_text(ISO.replace("L = v^2", "L = sqrt(1+v^2)*exp(y/4)")
+                        .replace("alpha = 0", "alpha = 0.3")
+                        .replace("beta = 0", "beta = 1.2\nh = 0.0033333333333333335")
+                        .replace("w = 1", "w = -0.6").replace("G = y", "G = y + 0.1*y^3")
+                        .replace("K = 0.16666666666666666", "K = -0.5"))
+        cp = run_cli("solve", str(prob))
+        assert cp.returncode == 3
+        assert len(cp.stderr.splitlines()) == 1, cp.stderr
+        assert cp.stderr.startswith("error: no convergence after 100 Newton steps")
+
     def test_missing_file_is_input_error(self):
         cp = run_cli("solve", "/nonexistent/problem.prob")
         assert cp.returncode == 2
@@ -517,6 +530,25 @@ class TestParserBuiltOnce:
         assert out.read_text() == "t,value\n0,1\n1,3\n"
 
 
+class TestDeepExpression:
+    @pytest.mark.parametrize("L", [
+        " + ".join(["y"] * 10**4),
+        "(" * 10**4 + "v^2" + ")" * 10**4,
+        "-" * 10**4 + "v^2",
+    ], ids=["sum", "parentheses", "unary minus"])
+    def test_exits_2_with_one_line(self, tmp_path: Path, L):
+        from tsvar.lagrangian import MAX_DEPTH
+
+        prob = tmp_path / "deep.prob"
+        prob.write_text(CLASSIC.replace("L = v^2", f"L = {L}"))
+        cp = run_cli("solve", str(prob))
+        assert cp.returncode == 2
+        assert len(cp.stderr.splitlines()) == 1, cp.stderr[:2000]
+        assert cp.stderr.startswith(
+            f"error: line 6: bad expression for 'L': expression nests more "
+            f"than {MAX_DEPTH} levels")
+
+
 class TestProblemFileParsing:
     def parse(self, text, **kwargs):
         from tsvar.cli import parse_problem_file
@@ -575,3 +607,10 @@ class TestProblemFileParsing:
     def test_expression_error_carries_line(self):
         text = CLASSIC.replace("L = v^2", "L = v^2 +")
         assert self.err(text).line == 6
+
+    def test_too_deep_expression_is_an_input_error(self):
+        from tsvar.lagrangian import MAX_DEPTH
+
+        err = self.err(CLASSIC.replace("L = v^2", "L = " + "-" * 10**4 + "v^2"))
+        assert err.line == 6
+        assert f"more than {MAX_DEPTH} levels" in str(err)

@@ -12,7 +12,16 @@ from tsvar.errors import (
     ParameterError,
     UnknownIdentifierError,
 )
-from tsvar.lagrangian import BinOp, Call, Neg, Num, Var, evaluate_array, parse
+from tsvar.lagrangian import (
+    MAX_DEPTH,
+    BinOp,
+    Call,
+    Neg,
+    Num,
+    Var,
+    evaluate_array,
+    parse,
+)
 
 
 class TestParse:
@@ -73,6 +82,38 @@ class TestParse:
     def test_constant_folding(self):
         assert parse("2*3 + 1") == Num(7.0)
         assert parse("sin(0)") == Num(0.0)
+
+
+class TestNestingLimit:
+    """Expressions that nest deeper than MAX_DEPTH are refused at parse
+    time, before a recursive walk can exhaust Python's stack."""
+
+    # each shape nesting n levels deep
+    SHAPES = {
+        "sum": lambda n: " + ".join(["y"] * (n + 1)),
+        "parentheses": lambda n: "(" * n + "y*v" + ")" * n,
+        "unary minus": lambda n: "-" * n + "y*v",
+        # the deepest second partials per level that CHANGES.md records
+        "quotients": lambda n: "/".join(["(1+y)"] * n),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_at_the_limit_every_walk_works(self, shape):
+        # under the default recursion limit, which pytest keeps
+        lag = Lagrangian.from_text(self.SHAPES[shape](MAX_DEPTH))
+        t = np.linspace(0.1, 0.9, 5)
+        for e in (lag.L, lag.dL_dy, lag.dL_dv, *lag.second_partials):
+            assert np.isfinite(evaluate_array(e, t, t, t)).all()
+            assert to_text(e)
+        if shape == "sum":
+            assert evaluate(lag.L, 0.0, 0.5, 0.0) == 0.5 * (MAX_DEPTH + 1)
+
+    @pytest.mark.parametrize("shape", ["sum", "parentheses", "unary minus"])
+    @pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 10**4])
+    def test_deeper_is_refused(self, shape, levels):
+        with pytest.raises(ExpressionSyntaxError,
+                           match=f"nests more than {MAX_DEPTH} levels"):
+            parse(self.SHAPES[shape](levels))
 
 
 class TestDifferentiate:
@@ -277,3 +318,9 @@ class TestLagrangian:
         lag = Lagrangian.from_text("v^2")
         assert to_text(lag.dL_dv) == "(2 * v)"
         assert lag.dL_dy == Num(0.0)
+
+    def test_hessian_partials_are_exact_and_kept(self):
+        lag = Lagrangian.from_text("v^2*y + exp(y)")
+        L_yy, L_yv, L_vv = lag.second_partials
+        assert [evaluate(e, 0.0, 0.0, 3.0) for e in (L_yy, L_yv, L_vv)] == [1.0, 6.0, 0.0]
+        assert lag.second_partials[0] is L_yy

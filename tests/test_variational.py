@@ -240,7 +240,7 @@ class TestReductionToOneDirection:
 
 class TestHessian:
     def test_matches_finite_difference_jacobian(self):
-        from tsvar.variational import _grad_raw, _hess_raw, _second_partials
+        from tsvar.variational import _Iterate
 
         lag = Lagrangian.from_text("v^2 + sin(y)*v + exp(y/2) + 0.1*t*y^2")
         rng = random.Random(17)
@@ -248,14 +248,15 @@ class TestHessian:
         ts = np.asarray(pts)
         for u in (1.3, -0.7):
             ys = np.asarray([rng.uniform(-1, 1) for _ in range(6)])
-            H = dense_tridiagonal(*_hess_raw(_second_partials(lag), u, ts, ys))
+            H = dense_tridiagonal(*_Iterate(lag, u, ts, ys).hess())
             m = len(pts) - 2
             step = 1e-6
             for j in range(m):
                 hi, lo = ys.copy(), ys.copy()
                 hi[j + 1] += step
                 lo[j + 1] -= step
-                col = (_grad_raw(lag, u, ts, hi) - _grad_raw(lag, u, ts, lo)) / (2 * step)
+                col = (_Iterate(lag, u, ts, hi).grad()
+                       - _Iterate(lag, u, ts, lo).grad()) / (2 * step)
                 assert np.allclose(H[:, j], col, atol=1e-5), (u, j)
 
 
@@ -272,13 +273,13 @@ class TestBandedNewtonStep:
         return float(np.max(np.abs(np.asarray(got) - want))) <= 1e-12 * scale
 
     def random_case(self, rng, lag, u):
-        from tsvar.variational import _grad_raw, _hess_raw, _second_partials
+        from tsvar.variational import _Iterate
 
         n = rng.randint(5, 12)
         ts = np.asarray(random_increasing(rng, n, gap_lo=0.2, gap_hi=2.0))
         ys = np.asarray([rng.uniform(-1, 1) for _ in range(n)])
-        diag, off = _hess_raw(_second_partials(lag), u, ts, ys)
-        return ts, ys, diag, off, _grad_raw(lag, u, ts, ys)
+        at = _Iterate(lag, u, ts, ys)
+        return ts, ys, *at.hess(), at.grad()
 
     def test_solve_step_matches_dense(self):
         from tsvar.variational import _solve_tridiagonal
@@ -317,13 +318,7 @@ class TestBandedNewtonStep:
         return J
 
     def test_bordered_step_matches_dense(self):
-        from tsvar.variational import (
-            _bordered_step,
-            _functional_raw,
-            _grad_raw,
-            _hess_raw,
-            _second_partials,
-        )
+        from tsvar.variational import _bordered_step, _Iterate
 
         rng = random.Random(31)
         G = Lagrangian.from_text("y + 0.2*y^2 + exp(y/3)*v")
@@ -334,9 +329,10 @@ class TestBandedNewtonStep:
                     w = w_sign * rng.uniform(0.3, 2.0)
                     lam = rng.uniform(-2, 2)
                     ts, ys, diag_l, off_l, gl = self.random_case(rng, lag, u)
-                    diag_g, off_g = _hess_raw(_second_partials(G), w, ts, ys)
-                    gg = _grad_raw(G, w, ts, ys)
-                    cons = _functional_raw(G, w, ts, ys) - rng.uniform(-1, 1)
+                    at_g = _Iterate(G, w, ts, ys)
+                    diag_g, off_g = at_g.hess()
+                    gg = at_g.grad()
+                    cons = at_g.functional() - rng.uniform(-1, 1)
                     phi = np.concatenate([gl - lam * gg, [cons]])
                     diag, off = diag_l - lam * diag_g, off_l - lam * off_g
                     step, dlam = _bordered_step(diag, off, gg, phi)
@@ -438,13 +434,13 @@ class TestCyclicReduction:
 
     @staticmethod
     def case(lag, u, m, rng, scale=UNIT):
-        from tsvar.variational import _grad_raw, _hess_raw, _second_partials
+        from tsvar.variational import _Iterate
 
         ts = np.asarray(scale.discretize((scale.b - scale.a) / (m + 1)).points)
         assert ts.size == m + 2
         ys = rng.uniform(-1.0, 1.0, ts.size)
-        diag, off = _hess_raw(_second_partials(lag), u, ts, ys)
-        return diag, off, -_grad_raw(lag, u, ts, ys), rng.normal(size=m)
+        at = _Iterate(lag, u, ts, ys)
+        return *at.hess(), -at.grad(), rng.normal(size=m)
 
     @pytest.mark.parametrize("u", [1.3, -0.7])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -731,6 +727,58 @@ class TestIterateReuse:
             assert len(evaluations) == 5 * (1 + len(trials)) + 6 * sol.iterations + 1
             assert len(set(evaluations)) == len(evaluations)
 
+    def test_public_checks_are_bitwise_fresh_records(self):
+        # verify, functional_value, el_residual and residual_column read one
+        # record per integrand; a fresh record per figure is the reference
+        from tsvar.variational import _interior, _Iterate
+
+        for p in self.problems(h=1 / 300) + self.iso_problems(h=1 / 300):
+            iso = isinstance(p, IsoProblem)
+            y = solve_iso(p).y if iso else solve(p).y
+            ts, ys = y.grid.points, y.values
+            res = _Iterate(p.L, p.u, ts, ys).residual()
+            value = _Iterate(p.L, p.u, ts, ys).functional()
+            assert functional_value(p, y) == value
+            assert np.array_equal(el_residual(p, y).values, res)
+            cases = [((), _interior(p.u, res))]
+            if iso:
+                res_g = _Iterate(p.G, p.w, ts, ys).residual()
+                cases.append(((0.5, 1.25), 0.5 * _interior(p.u, res)
+                              - 1.25 * _interior(p.w, res_g)))
+            for lams, want in cases:
+                assert residual_column(p, y, *lams)[2:-2] == want.tolist()
+                report = verify(p, y, 1e-8, *lams)
+                assert report.residual_max == float(np.max(np.abs(want)))
+                assert report.functional_value == value
+
+    @pytest.fixture
+    def differentiations(self, monkeypatch):
+        from tsvar import lagrangian
+
+        made = []
+        real = lagrangian.differentiate
+
+        def spy(e, var):
+            made.append(var)
+            return real(e, var)
+
+        monkeypatch.setattr(lagrangian, "differentiate", spy)
+        return made
+
+    def test_each_lagrangian_differentiated_twice_only_once(
+            self, differentiations):
+        # fresh integrands, whose second partials no other test has built
+        p = self.problems(h=1 / 300)[1]
+        iso = self.iso_problems(h=1 / 300)[2]
+        differentiations.clear()
+        solve(p)
+        solve(p)
+        assert differentiations == ["y", "v", "v"]
+        differentiations.clear()
+        solve_iso(iso)
+        solve_iso(iso)
+        assert len(differentiations) == 6
+
     def test_singular_accepted_iterate_raises_as_before(self):
         # the line search accepts an iterate whose last term's y partial is
         # nan, since the gradient does not read it; the next checked read
@@ -920,6 +968,16 @@ class TestSolveIso:
         with pytest.raises(InfeasibleConstraintError):
             solve_iso(iso)
 
+    def test_overflowing_trials_raise_without_warnings(self):
+        # line-search trials along these steps overflow; they are rejected
+        # without a numpy RuntimeWarning, which the test settings make an error
+        iso = IsoProblem(scale=UNIT, u=1.0,
+                         L=Lagrangian.from_text("sqrt(1+v^2)*exp(y/4)"),
+                         alpha=0.3, beta=1.2, h=1 / 300,
+                         G=Lagrangian.from_text("y + 0.1*y^3"), w=-0.6, K=-0.5)
+        with pytest.raises(IterationLimitError, match="after 100 Newton steps"):
+            solve_iso(iso)
+
     def test_nabla_pair(self):
         # u = w = -1 classical reduction: the constraint functional is
         # w * integral of w*y^rho, i.e. ~ integral of y, so K = 1/6 gives the
@@ -987,12 +1045,13 @@ class TestVerify:
 
 
 class TestResidualColumnReference:
-    """residual_column against the per-point loop it replaced. The
-    arithmetic is the same, so the values must be equal, not close."""
+    """residual_column against the per-point loop it replaced, and the other
+    public checks against fresh records. The arithmetic is the same, so the
+    values must be equal, not close."""
 
     @pytest.mark.parametrize("u, w", [(1.0, 1.0), (-1.0, 2.0), (2.0, -0.5)])
     def test_matches_per_point_loop(self, u, w):
-        from tsvar.variational import _residual_raw
+        from tsvar.variational import _Iterate
 
         scale = TimeScale.from_segments(
             [Segment(0.0, 1.0), Segment(1.5, 1.5), Segment(2.0, 3.0)])
@@ -1002,8 +1061,8 @@ class TestResidualColumnReference:
         y = GridFunction.sample(iso.discretized(),
                                 lambda t: t / 3 + 0.7 * t * (3 - t))
         ts, ys = np.asarray(y.grid.points), np.asarray(y.values)
-        res_l = _residual_raw(iso.L, u, ts, ys)
-        res_g = _residual_raw(iso.G, w, ts, ys)
+        res_l = _Iterate(iso.L, u, ts, ys).residual()
+        res_g = _Iterate(iso.G, w, ts, ys).residual()
 
         def at(d, values, i):
             # aligned to grid index 0 for d > 0 and to grid index 2 for d < 0
@@ -1017,6 +1076,14 @@ class TestResidualColumnReference:
             combined[i] = 0.5 * at(u, res_l, i) - 1.25 * at(w, res_g, i)
         assert residual_column(iso, y) == plain
         assert residual_column(iso, y, lam0=0.5, lam=1.25) == combined
+
+        value = _Iterate(iso.L, u, ts, ys).functional()
+        assert np.array_equal(el_residual(iso, y).values, res_l)
+        assert functional_value(iso, y) == value
+        for lams, col in (((), plain), ((0.5, 1.25), combined)):
+            report = verify(iso, y, 1e-8, *lams)
+            assert report.residual_max == max(abs(r) for r in col[2:n - 2])
+            assert report.functional_value == value
 
 
 class TestOneGridPerProblem:
