@@ -11,10 +11,9 @@ readable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
-from collections.abc import Iterator
-from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
 from typing import TextIO
@@ -35,21 +34,14 @@ from .epiderivative import (
     liminf_params,
 )
 from .errors import (
-    BoundaryMismatchError,
-    DegenerateScaleError,
-    DomainError,
-    EvaluationError,
     ExpressionError,
     GridMismatchError,
-    InfeasibleConstraintError,
+    InputError,
     InputFormatError,
-    IterationLimitError,
-    ParameterError,
-    PointNotInSetError,
-    SingularSystemError,
+    NumericalError,
 )
 from .lagrangian import Lagrangian
-from .timescale import TimeScale, parse_scale_line, parse_timescale
+from .timescale import TimeScale, numbered_lines, parse_timescale, scale_from_lines
 from .variational import (
     IsoProblem,
     Problem,
@@ -57,24 +49,6 @@ from .variational import (
     residual_column,
     solve,
     solve_iso,
-)
-
-_INPUT_ERRORS = (
-    InputFormatError,
-    DomainError,
-    ParameterError,
-    DegenerateScaleError,
-    PointNotInSetError,
-    ExpressionError,
-    GridMismatchError,
-    BoundaryMismatchError,
-)
-
-_NUMERIC_ERRORS = (
-    EvaluationError,
-    SingularSystemError,
-    IterationLimitError,
-    InfeasibleConstraintError,
 )
 
 
@@ -100,10 +74,7 @@ _CONSTRAINT_KEYS = ("w", "G", "K")
 def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
     sections: dict[str, list[tuple[int, str]]] = {}
     current: list[tuple[int, str]] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in numbered_lines(text):
         if line.startswith("["):
             if not line.endswith("]"):
                 raise InputFormatError(
@@ -172,15 +143,6 @@ def _parse_expression(lineno: int, text: str, key: str) -> Lagrangian:
                                line=lineno) from exc
 
 
-def _scale_from_rows(rows: list[tuple[int, str]]) -> TimeScale:
-    segments = []
-    for lineno, line in rows:
-        segments.extend(parse_scale_line(line, lineno))
-    if not segments:
-        raise InputFormatError("[timescale] section is empty")
-    return TimeScale.from_segments(segments)
-
-
 def parse_problem_file(text: str, h_override: float | None = None) -> Problem:
     """Parse a problem file into a Problem or, with a [constraint], IsoProblem."""
     sections = _split_sections(text)
@@ -188,7 +150,7 @@ def parse_problem_file(text: str, h_override: float | None = None) -> Problem:
         raise InputFormatError("missing [timescale] section")
     if "problem" not in sections:
         raise InputFormatError("missing [problem] section")
-    scale = _scale_from_rows(sections["timescale"])
+    scale = scale_from_lines(sections["timescale"], "[timescale] section is empty")
     keys = _parse_keys(sections["problem"], _PROBLEM_KEYS, "problem")
     lineno, raw_u = _need(keys, "u", "problem")
     u = _parse_float(lineno, raw_u, "u")
@@ -202,10 +164,8 @@ def parse_problem_file(text: str, h_override: float | None = None) -> Problem:
     beta = _parse_float(*_need(keys, "beta", "problem"), key="beta")
     if h_override is not None:
         h = h_override
-    elif "h" in keys:
-        h = _parse_float(*keys["h"], key="h")
     else:
-        h = 1e-3
+        h = _parse_float(*keys["h"], key="h") if "h" in keys else Problem.h
     if not 0 < h < math.inf:
         raise InputFormatError(f"step h must be positive and finite, got {h!r}")
 
@@ -233,7 +193,8 @@ def _load_scale(arg: str) -> TimeScale:
             sections = _split_sections(text)
             if "timescale" not in sections:
                 raise InputFormatError("file has sections but no [timescale]")
-            return _scale_from_rows(sections["timescale"])
+            return scale_from_lines(sections["timescale"],
+                                    "[timescale] section is empty")
         return parse_timescale(text)
     return parse_timescale(arg)
 
@@ -265,21 +226,16 @@ def _summary(sol: Solution) -> str:
         f"iterations = {sol.iterations}",
     ]
     if sol.lam is not None:
-        lines.append(f"lambda0 = {_fmt(sol.lam0 if sol.lam0 is not None else 0.0)}")
+        lines.append(f"lambda0 = {_fmt(sol.lam0)}")
         lines.append(f"lambda = {_fmt(sol.lam)}")
         lines.append(f"normal = {'true' if sol.normal_flag else 'false'}")
     return "\n".join(lines) + "\n"
 
 
-@contextmanager
-def _csv_out(out: str | None) -> Iterator[TextIO]:
+def _csv_out(out: str | None) -> contextlib.AbstractContextManager[TextIO]:
     """The --out file, or stdout. Rows are written as they are formatted, so
     the whole CSV text of a fine grid is never held in memory."""
-    if out:
-        with open(out, "w") as fh:
-            yield fh
-    else:
-        yield sys.stdout
+    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
 
 
 # -- command handlers ------------------------------------------------------------------
@@ -426,17 +382,14 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return ns.handler(ns)
-    except _INPUT_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (InputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as err:
         # its byte position counts from the decoder's buffer, not the file
         print(f"error: an input file is not UTF-8 text ({err.reason})", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as err:
+    except NumericalError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except MemoryError as err:

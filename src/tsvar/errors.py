@@ -7,23 +7,33 @@ class TsvarError(Exception):
     """Base class for all library errors."""
 
 
-class DomainError(TsvarError):
+class InputError(TsvarError):
+    """The input is malformed or violates a contract: a bad file, value,
+    expression or grid. The command line exits 2 on these."""
+
+
+class NumericalError(TsvarError):
+    """Well-formed input on which the computation fails: a singular point
+    or system, or no convergence. The command line exits 3 on these."""
+
+
+class DomainError(InputError):
     """A point lies outside the set or grid an operation is defined on."""
 
 
-class ParameterError(TsvarError):
+class ParameterError(InputError):
     """A parameter violates its contract (nonpositive step, zero direction, ...)."""
 
 
-class DegenerateScaleError(TsvarError):
+class DegenerateScaleError(InputError):
     """A truncated scale became empty; the problem has no interior points."""
 
 
-class PointNotInSetError(TsvarError):
+class PointNotInSetError(InputError):
     """The base point of a contingent cone lies below the graph."""
 
 
-class ExpressionError(TsvarError):
+class ExpressionError(InputError):
     """Base class for expression parsing problems; carries a byte offset."""
 
     def __init__(self, message: str, offset: int | None = None):
@@ -39,7 +49,7 @@ class UnknownIdentifierError(ExpressionError):
     """An identifier that is neither a variable nor a known function."""
 
 
-class EvaluationError(TsvarError):
+class EvaluationError(NumericalError):
     """Expression evaluation hit a singular point; carries the arguments."""
 
     def __init__(self, message: str, t: float | None = None,
@@ -50,11 +60,11 @@ class EvaluationError(TsvarError):
         self.v = v
 
 
-class BoundaryMismatchError(TsvarError):
+class BoundaryMismatchError(InputError):
     """A trajectory does not match the prescribed boundary values."""
 
 
-class GridMismatchError(TsvarError):
+class GridMismatchError(InputError):
     """Sampled data does not live on the expected grid; carries both point
     counts when they are known."""
 
@@ -65,11 +75,11 @@ class GridMismatchError(TsvarError):
         self.grid_points = grid_points
 
 
-class SingularSystemError(TsvarError):
+class SingularSystemError(NumericalError):
     """The Newton system is singular at the current iterate."""
 
 
-class IterationLimitError(TsvarError):
+class IterationLimitError(NumericalError):
     """The solver ran out of iterations; carries the last iterate."""
 
     def __init__(self, message: str, last: tuple[float, ...] | None = None):
@@ -77,11 +87,11 @@ class IterationLimitError(TsvarError):
         self.last = last
 
 
-class InfeasibleConstraintError(TsvarError):
+class InfeasibleConstraintError(NumericalError):
     """The isoperimetric constraint cannot be met from the current iterate."""
 
 
-class InputFormatError(TsvarError):
+class InputFormatError(InputError):
     """Malformed problem file, scale literal or CSV; carries a line number."""
 
     def __init__(self, message: str, line: int | None = None):

@@ -416,14 +416,24 @@ def parse_timescale(text: str) -> TimeScale:
     Lines may be separated by newlines or semicolons; blank lines and lines
     starting with '#' are ignored. The scale is the union of all lines.
     """
-    segments: list[Segment] = []
-    for lineno, raw in enumerate(text.replace(";", "\n").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        segments.extend(parse_scale_line(line, lineno))
+    return scale_from_lines(numbered_lines(text.replace(";", "\n")),
+                            "time scale description is empty")
+
+
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """The lines of text, stripped and numbered from 1, without blank lines
+    and lines that start with '#'."""
+    return [(lineno, line)
+            for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
+            if line and not line.startswith("#")]
+
+
+def scale_from_lines(rows: Iterable[tuple[int, str]], empty: str) -> TimeScale:
+    """The union of numbered scale literal lines; InputFormatError with the
+    message empty when there are none."""
+    segments = [seg for lineno, line in rows for seg in parse_scale_line(line, lineno)]
     if not segments:
-        raise InputFormatError("time scale description is empty")
+        raise InputFormatError(empty)
     return TimeScale.from_segments(segments)
 
 
