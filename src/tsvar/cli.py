@@ -1,8 +1,8 @@
 """Command-line front end: solve, residual, epideriv and calc commands.
 
-Exit codes: 0 success, 1 usage error, 2 malformed input (an input file that
-is not UTF-8 text included), 3 numerical failure (running out of memory
-included).
+Exit codes: 0 success, 1 usage error, 2 malformed input (an InputError, an
+OSError or an input file that is not UTF-8 text), 3 numerical failure (a
+NumericalError or running out of memory).
 Errors go to stderr only; CSV output goes to --out or stdout. When the CSV
 goes to stdout, the solve summary moves to stderr so stdout stays machine
 readable.

@@ -106,21 +106,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c.isdecimal() or (c == "." and i + 1 < n and text[i + 1].isdecimal()):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k].isdecimal():
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j].isdecimal():
                         j += 1
             tokens.append(("num", text[i:j], i))
             i = j

@@ -142,7 +142,8 @@ class _Iterate:
         self.lag, self.u = lag, u
         # per term: base points, scaled y slot, scaled v slot, step weights
         steps = ts[1:] - ts[:-1]
-        slopes = (ys[1:] - ys[:-1]) / steps
+        with np.errstate(all="ignore"):  # a checked read reports what overflows
+            slopes = (ys[1:] - ys[:-1]) / steps
         if u > 0:
             self.args = ts[:-1], u * ys[1:], u * slopes, steps
         else:
@@ -505,7 +506,8 @@ def verify(problem: Problem, y: GridFunction, tol: float,
 
 def _affine_start(problem: Problem, ts: np.ndarray) -> np.ndarray:
     span = ts[-1] - ts[0]
-    ys = problem.alpha + (problem.beta - problem.alpha) * (ts - ts[0]) / span
+    with np.errstate(all="ignore"):  # a checked read reports what overflows
+        ys = problem.alpha + (problem.beta - problem.alpha) * (ts - ts[0]) / span
     ys[0] = problem.alpha
     ys[-1] = problem.beta
     return ys

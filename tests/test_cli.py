@@ -549,6 +549,82 @@ class TestDeepExpression:
             f"than {MAX_DEPTH} levels")
 
 
+class TestErrorFamilies:
+    def test_every_error_is_in_one_family(self):
+        import inspect
+
+        from tsvar import errors
+
+        families = (errors.TsvarError, errors.InputError, errors.NumericalError)
+        classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+                   if issubclass(c, errors.TsvarError) and c not in families]
+        assert len(classes) >= 12
+        for c in classes:
+            assert issubclass(c, errors.InputError) != issubclass(
+                c, errors.NumericalError), c
+
+    @pytest.mark.parametrize("family, code", [("InputError", 2), ("NumericalError", 3)])
+    def test_family_picks_exit_code(self, tmp_path: Path, monkeypatch, capsys,
+                                    family, code):
+        from tsvar import cli, errors
+
+        class NewError(getattr(errors, family)):
+            pass
+
+        def fail(*args, **kwargs):
+            raise NewError("new failure")
+
+        monkeypatch.setattr(cli, "solve", fail)
+        prob = tmp_path / "classic.prob"
+        prob.write_text(CLASSIC)
+        assert cli.main(["solve", str(prob)]) == code
+        assert capsys.readouterr().err == "error: new failure\n"
+
+
+class TestOneStderrLine:
+    """Failures found by hand that once left a traceback or numpy warnings
+    on stderr; each now exits with its code and one stderr line. Run in
+    process, where the test settings make a leaked warning an error."""
+
+    def run(self, tmp_path: Path, capsys, text: str, *extra: str) -> tuple[int, str]:
+        from tsvar import cli
+
+        prob = tmp_path / "p.prob"
+        prob.write_text(text, encoding="utf-8")
+        command = "residual" if "--y" in extra else "solve"
+        code = cli.main([command, str(prob), *extra])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, captured.err
+        return code, captured.err
+
+    def test_superscript_digit_exits_2(self, tmp_path: Path, capsys):
+        text = CLASSIC.replace("L = v^2", "L = v^2 + y*²")
+        assert self.run(tmp_path, capsys, text) == (
+            2, "error: line 6: bad expression for 'L': "
+               "unexpected character '²' at offset 8\n")
+
+    @pytest.mark.parametrize("edits", [
+        [("alpha = 0\nbeta = 1", "alpha = 1e308\nbeta = -1e308"), ("1e-3", "0.125")],
+        [("interval 0 1\n", "interval 0 1e-320\n"), ("h = 1e-3", "h = 1e-322")],
+    ], ids=["huge boundary values", "subnormal scale"])
+    def test_overflowing_start_exits_3(self, tmp_path: Path, capsys, edits):
+        text = CLASSIC.replace("L = v^2", "L = v^2 + y^2")
+        for old, new in edits:
+            text = text.replace(old, new)
+        code, err = self.run(tmp_path, capsys, text)
+        assert code == 3
+        assert err.startswith("error: cannot evaluate expression at t=0.0")
+
+    def test_overflowing_trajectory_exits_3(self, tmp_path: Path, capsys):
+        traj = tmp_path / "y.csv"
+        traj.write_text("t,value\n0,0\n0.25,1e308\n0.5,-1e308\n0.75,1e308\n1,0\n")
+        text = CLASSIC.replace("L = v^2", "L = v^2 + y^2").replace("1e-3", "0.25")
+        code, err = self.run(tmp_path, capsys, text, "--y", str(traj))
+        assert code == 3
+        assert err.startswith("error: cannot evaluate expression at t=0.0, y=1e+308")
+
+
 class TestProblemFileParsing:
     def parse(self, text, **kwargs):
         from tsvar.cli import parse_problem_file

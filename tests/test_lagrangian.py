@@ -58,6 +58,16 @@ class TestParse:
             parse("t % 2")
         assert err.value.offset == 2
 
+    @pytest.mark.parametrize("text, offset", [("1²", 1), ("y^¹", 2), ("y*²", 2)])
+    def test_superscript_digit_is_a_bad_character(self, text, offset):
+        # float() reads decimal digits only, so '²' is no digit
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse(text)
+        assert err.value.offset == offset
+
+    def test_other_decimal_digits_are_numbers(self):
+        assert parse("y*٣") == parse("y*3")
+
     def test_precedence(self):
         assert evaluate(parse("1 + 2*3^2"), 0, 0, 0) == 19.0
 

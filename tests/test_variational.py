@@ -991,6 +991,47 @@ class TestSolveIso:
         assert sol.lam == pytest.approx(-4.0, abs=2e-2)
 
 
+class TestErrorBranches:
+    """Contract checks that no solve of a well-formed problem reaches."""
+
+    def iso(self):
+        return IsoProblem(scale=UNIT, u=1.0, L=V2, alpha=0.0, beta=0.0, h=0.25,
+                          G=Lagrangian.from_text("y"), w=1.0, K=0.5)
+
+    def test_negative_iteration_limit(self):
+        with pytest.raises(ParameterError, match="max_iter"):
+            solve(classical(h=0.25), max_iter=-1)
+        with pytest.raises(ParameterError, match="max_iter"):
+            solve_iso(self.iso(), max_iter=-1)
+
+    def test_zero_tolerance_iso(self):
+        with pytest.raises(ParameterError, match="tol"):
+            solve_iso(self.iso(), tol=0.0)
+
+    def test_residual_on_two_points(self):
+        p = classical(scale=TimeScale.of_points(0, 1))
+        with pytest.raises(DegenerateScaleError, match="three grid points"):
+            el_residual(p, trajectory(p, lambda t: t))
+
+    def test_verify_with_empty_interior(self):
+        p = classical(scale=TimeScale.of_points(0, 1, 2, 3), beta=3.0)
+        with pytest.raises(DegenerateScaleError, match="interior is empty"):
+            verify(p, trajectory(p, lambda t: t), tol=1e-8)
+
+    def test_singular_pivoting_system(self):
+        from tsvar.variational import _solve_pivoting
+
+        with pytest.raises(SingularSystemError):
+            _solve_pivoting(np.array([1.0, 1.0]), np.array([1.0]), np.ones(2))
+
+    def test_singular_bordered_elimination(self):
+        from tsvar.variational import _bordered_elimination
+
+        with pytest.raises(SingularSystemError):
+            _bordered_elimination(np.array([0.0, 1.0]), np.array([0.0]),
+                                  np.array([0.0, 1.0]), np.ones(3))
+
+
 class TestVerify:
     def test_extremal_passes(self):
         p = classical(h=0.02)
