@@ -144,10 +144,10 @@ class _Iterate:
         steps = ts[1:] - ts[:-1]
         with np.errstate(all="ignore"):  # a checked read reports what overflows
             slopes = (ys[1:] - ys[:-1]) / steps
-        if u > 0:
-            self.args = ts[:-1], u * ys[1:], u * slopes, steps
-        else:
-            self.args = ts[1:], u * ys[:-1], u * slopes, steps
+            if u > 0:
+                self.args = ts[:-1], u * ys[1:], u * slopes, steps
+            else:
+                self.args = ts[1:], u * ys[:-1], u * slopes, steps
         self._values: dict[str, np.ndarray] = {}  # by name: "L", "dL_dy", "dL_dv"
         self._checked: set[str] = set()
 

@@ -616,13 +616,20 @@ class TestOneStderrLine:
         assert code == 3
         assert err.startswith("error: cannot evaluate expression at t=0.0")
 
-    def test_overflowing_trajectory_exits_3(self, tmp_path: Path, capsys):
+    @pytest.mark.parametrize("u, inner", [
+        ("1", "1e308,-1e308,1e308"),  # the slopes overflow
+        ("2", "1e308,1e308,1e308"),  # the direction's scaling overflows
+    ])
+    def test_overflowing_trajectory_exits_3(self, tmp_path: Path, capsys, u, inner):
         traj = tmp_path / "y.csv"
-        traj.write_text("t,value\n0,0\n0.25,1e308\n0.5,-1e308\n0.75,1e308\n1,0\n")
-        text = CLASSIC.replace("L = v^2", "L = v^2 + y^2").replace("1e-3", "0.25")
+        values = ["0", *inner.split(","), "0"]
+        traj.write_text("t,value\n" + "".join(
+            f"{t},{y}\n" for t, y in zip((0, 0.25, 0.5, 0.75, 1), values)))
+        text = (CLASSIC.replace("L = v^2", "L = v^2 + y^2").replace("1e-3", "0.25")
+                .replace("u = 1", f"u = {u}"))
         code, err = self.run(tmp_path, capsys, text, "--y", str(traj))
         assert code == 3
-        assert err.startswith("error: cannot evaluate expression at t=0.0, y=1e+308")
+        assert err.startswith("error: cannot evaluate expression at t=0.0, y=")
 
 
 class TestProblemFileParsing:
