@@ -179,10 +179,8 @@ def liminf_params(fbar: PLFunction, t: float, u: float,
     """
     _check_direction(u)
     fbar._check_domain(t)
-    if u == 0:
-        return (h0 if h0 is not None else 1.0), 0
     span = (fbar.b - t) if u > 0 else (t - fbar.a)
-    if span <= 0:
+    if u == 0 or span <= 0:
         return (h0 if h0 is not None else 1.0), 0
     if h0 is None:
         h0 = 0.9 * span / abs(u)

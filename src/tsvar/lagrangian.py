@@ -79,14 +79,6 @@ class Call:
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
 
-_MATH = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-}
-
 _NUMPY = {
     "sin": np.sin,
     "cos": np.cos,
@@ -197,10 +189,8 @@ def _make(op: str, left: Expr, right: Expr) -> Expr:
 
 def _call(func: str, arg: Expr) -> Expr:
     if isinstance(arg, Num):
-        try:
-            folded = _MATH[func](arg.value)
-        except (ValueError, OverflowError):
-            folded = math.nan
+        with np.errstate(all="ignore"):
+            folded = float(_NUMPY[func](arg.value))
         if math.isfinite(folded):
             return Num(folded)
     return Call(func, arg)
@@ -210,10 +200,8 @@ def _pow(base: Expr, exponent: Expr) -> Expr:
     if isinstance(exponent, Num):
         c = exponent.value
         if isinstance(base, Num):
-            try:
-                folded = math.pow(base.value, c)
-            except (ValueError, OverflowError):
-                folded = math.nan
+            with np.errstate(all="ignore"):
+                folded = float(np.power(base.value, c))
             if math.isfinite(folded):
                 return Num(folded)
         if c == 1.0:

@@ -195,18 +195,19 @@ class TimeScale:
     # -- kappa truncations ---------------------------------------------------
 
     def truncate_kappa(self) -> "TimeScale":
-        """Drop the maximum when it is left-scattered, else return self."""
+        """Drop the maximum when it is left-scattered, else return an equal scale."""
         return TimeScale(tuple(_drop_max(list(self.segments))))
 
     def truncate_kappa_sub(self) -> "TimeScale":
-        """Drop the minimum when it is right-scattered, else return self."""
+        """Drop the minimum when it is right-scattered, else return an equal scale."""
         return TimeScale(tuple(_drop_min(list(self.segments))))
 
     def interior_kk2(self) -> "TimeScale":
         """Doubly truncated interior: two kappa cuts at the top and the bottom."""
         upper = _drop_max(_drop_max(list(self.segments)))
         lower = _drop_min(_drop_min(list(self.segments)))
-        inter = _intersect(upper, lower)
+        # both cuts keep a run of the same list: upper a prefix, lower a suffix
+        inter = upper[len(self.segments) - len(lower):]
         if not inter:
             raise DegenerateScaleError(
                 "doubly truncated interior is empty: the scale has too few points")
@@ -249,11 +250,11 @@ class TimeScale:
 
 def _step_count(span: float, h: float) -> int:
     """Steps of an interval of length span: ceil(span/h), one fewer when
-    span/h sits within a relative 1e-12 of an integer."""
+    span/h sits within a relative 1e-12 of an integer, and at least one."""
     # a ratio past the budget is cut to just past it: the grid stays over
     # the budget, and ceil stays finite when span/h overflows to inf
     ratio = min(span / h, MAX_GRID_POINTS + 1.0)
-    n = math.ceil(ratio)
+    n = max(math.ceil(ratio), 1)
     if n > 1 and (n - 1) >= ratio * (1.0 - 1e-12):
         n -= 1
     return n
@@ -271,21 +272,6 @@ def _drop_min(segs: list[Segment]) -> list[Segment]:
     if len(segs) >= 2 and segs[0].is_point:
         return segs[1:]
     return segs
-
-
-def _intersect(a: Sequence[Segment], b: Sequence[Segment]) -> list[Segment]:
-    out: list[Segment] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i].left, b[j].left)
-        hi = min(a[i].right, b[j].right)
-        if lo <= hi:
-            out.append(Segment(lo, hi))
-        if a[i].right < b[j].right:
-            i += 1
-        else:
-            j += 1
-    return out
 
 
 def readonly_array(values, dtype=float) -> np.ndarray:

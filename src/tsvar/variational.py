@@ -163,7 +163,9 @@ class _Iterate:
         return vals
 
     def functional(self, checked: bool = True) -> float:
-        return self.u * float(np.sum(self.values("L", checked) * self.args[3]))
+        # an overflow gives inf, as delta_integral reports it
+        with np.errstate(over="ignore"):
+            return self.u * float(np.sum(self.values("L", checked) * self.args[3]))
 
     def grad(self, checked: bool = True) -> np.ndarray:
         """Gradient of the discretized functional with respect to interior

@@ -65,10 +65,12 @@ def random_increasing(rng: random.Random, n: int, start_lo: float = -2.0,
 
 def child_env() -> dict[str, str]:
     """Environment for a child interpreter that must import the same tsvar
-    as the tests, also when pytest alone put `src` on the path."""
+    as the tests, also when pytest alone put `src` on the path, and that
+    turns every warning into an error, as the test settings do."""
     src = str(Path(tsvar.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error"
     return env
 
 

@@ -114,6 +114,19 @@ class TestSolve:
         assert len(cp.stderr.splitlines()) == 1, cp.stderr
         assert cp.stderr.startswith("error: no convergence after 100 Newton steps")
 
+    def test_overflowing_functional_is_inf(self, tmp_path: Path, capsys):
+        # in process, where the test settings make a leaked warning an error
+        from tsvar import cli
+
+        prob = tmp_path / "p.prob"
+        prob.write_text(CLASSIC.replace("interval 0 1", "interval 0 4")
+                        .replace("L = v^2", "L = 1e308 + v^2").replace("1e-3", "0.5"))
+        out = tmp_path / "y.csv"
+        assert cli.main(["solve", str(prob), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "functional_value = inf\n" in captured.out
+
     def test_missing_file_is_input_error(self):
         cp = run_cli("solve", "/nonexistent/problem.prob")
         assert cp.returncode == 2

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import EXPRESSION_SUITE, central_diff
 from tsvar import Lagrangian, differentiate, evaluate, to_text
@@ -92,6 +94,50 @@ class TestParse:
     def test_constant_folding(self):
         assert parse("2*3 + 1") == Num(7.0)
         assert parse("sin(0)") == Num(0.0)
+
+
+def _value(e) -> float | None:
+    """The value of e at y = 1, or None when it is singular. Finite values
+    compare bit for bit with ==, but for the sign of zero, which the
+    simplification 0*y -> 0 does not keep."""
+    try:
+        return evaluate(e, 0.0, 1.0, 0.0)
+    except EvaluationError:
+        return None
+
+
+CONSTANTS = st.one_of(st.floats(min_value=-20.0, max_value=20.0),
+                      st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestFolding:
+    """A constant folded at parse time is the value the evaluator gives the
+    tree as written."""
+
+    @pytest.mark.parametrize("func", ["sin", "cos", "exp", "log", "sqrt"])
+    @settings(max_examples=300)
+    @given(c=CONSTANTS)
+    @example(c=1.5257325287711296)  # math.exp and np.exp differ here
+    def test_call_folds_to_the_evaluated_value(self, func, c):
+        written = BinOp("*", Call(func, Num(c)), Var("y"))
+        assert _value(parse(f"{func}({c!r})*y")) == _value(written)
+
+    @settings(max_examples=300)
+    @given(base=CONSTANTS, exponent=st.one_of(
+        st.integers(-6, 6).map(float), st.floats(min_value=-4.0, max_value=4.0),
+        st.floats(allow_nan=False, allow_infinity=False)))
+    @example(base=4140292120531529.0, exponent=1.2653429940260468)  # math.pow differs
+    def test_power_folds_to_the_evaluated_value(self, base, exponent):
+        written = BinOp("*", BinOp("^", Num(base), Num(exponent)), Var("y"))
+        assert _value(parse(f"({base!r})^({exponent!r})*y")) == _value(written)
+
+    @pytest.mark.parametrize(
+        "text", ["1/0", "log(0)", "sqrt(-1)", "0^-1", "exp(1000)", "(-8)^(1/3)"])
+    def test_singular_constant_stays_unfolded(self, text):
+        e = parse(text)
+        assert not isinstance(e, Num)
+        with pytest.raises(EvaluationError):
+            evaluate(e, 0.0, 0.0, 0.0)
 
 
 class TestNestingLimit:

@@ -152,6 +152,21 @@ class TestInteriorKK2:
         assert [s.left for s in got.segments] == pts[2:-2]
 
 
+@settings(max_examples=200)
+@given(scales())
+def test_interior_is_where_both_double_cuts_meet(scale):
+    top = scale.truncate_kappa().truncate_kappa()
+    bottom = scale.truncate_kappa_sub().truncate_kappa_sub()
+    probe = probe_points(scale)
+    both = [top.contains(p) and bottom.contains(p) for p in probe]
+    if not any(both):
+        with pytest.raises(DegenerateScaleError):
+            scale.interior_kk2()
+        return
+    interior = scale.interior_kk2()
+    assert [interior.contains(p) for p in probe] == both
+
+
 class TestDiscretize:
     def test_purely_discrete_is_identity(self):
         scale = TimeScale.of_points(0, 1, 2)
@@ -168,6 +183,12 @@ class TestDiscretize:
         grid = UNIT_PLUS_POINT.discretize(0.5)
         assert grid.points.tolist() == [0.0, 0.5, 1.0, 2.0]
         assert grid.dense_flags.tolist() == [False, True, False, False]
+
+    @pytest.mark.parametrize("right, h", [(1.0, math.inf), (5e-324, 1e300)])
+    def test_step_past_the_interval_keeps_both_endpoints(self, right, h):
+        grid = TimeScale.interval(0.0, right).discretize(h)
+        assert grid.points.tolist() == [0.0, right]
+        assert grid.dense_flags.tolist() == [False, False]
 
     def test_idempotent_on_discrete_scales(self):
         scale = TimeScale.of_points(0.1, 0.7, 1.9)
@@ -288,6 +309,14 @@ def test_discretize_endpoints_exact(scale):
         assert scale.contains(p)
         if flag:
             assert scale.sigma(p) == p and scale.rho(p) == p
+
+
+@settings(max_examples=60)
+@given(scales())
+def test_infinite_step_gives_the_segment_endpoints(scale):
+    ends = [p for seg in scale.segments
+            for p in ((seg.left,) if seg.is_point else (seg.left, seg.right))]
+    assert scale.discretize(math.inf).points.tolist() == ends
 
 
 class TestGridBudget:

@@ -114,6 +114,14 @@ class TestFunctionalValue:
         with pytest.raises(GridMismatchError):
             functional_value(p, y)
 
+    def test_overflowing_sum_is_inf(self):
+        # each term is finite; their sum is not, and no warning is written
+        p = classical(L=Lagrangian.from_text("1e308 + v^2"), h=0.5,
+                      scale=TimeScale.interval(0.0, 4.0))
+        y = trajectory(p, lambda t: t / 4.0)
+        assert functional_value(p, y) == np.inf
+        assert verify(p, y, 1e-8).functional_value == np.inf
+
 
 class TestResidual:
     def test_extremal_has_zero_residual(self):
