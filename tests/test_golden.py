@@ -41,6 +41,14 @@ CASES = {
     "calc_nint": ["calc", "nint", "points 0 0.5 1; interval 2 4", "--f", "square.csv"],
     # malformed: a syntax error in the integrand
     "solve_bad_expression": ["solve", "bad_expression.prob"],
+    # the fast paths: cyclic reduction over several Newton steps, the Schur
+    # bordered step, and the CSV reader past its first chunk
+    "solve_delta_large": ["solve", "solve_delta_large.prob"],
+    "solve_nabla_mixed_large": ["solve", "solve_nabla_mixed_large.prob"],
+    "solve_iso_bump": ["solve", "solve_iso_bump.prob"],
+    "residual_large": ["residual", "residual_large.prob", "--y", "trajectory_large.csv"],
+    # a problem file as the SCALE argument: its [timescale] section is read
+    "calc_int_problem_file": ["calc", "int", "residual.prob", "--f", "trajectory.csv"],
 }
 
 
