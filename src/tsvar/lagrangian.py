@@ -385,7 +385,13 @@ def evaluate(e: Expr, t: Any, y: Any, v: Any) -> float | np.ndarray:
     A value is singular when it is nan or infinite; EvaluationError names
     the first singular point.
     """
-    out = evaluate_array(e, t, y, v)
+    out = require_finite(evaluate_array(e, t, y, v), t, y, v)
+    return float(out) if out.ndim == 0 else out
+
+
+def require_finite(out: np.ndarray, t: Any, y: Any, v: Any) -> np.ndarray:
+    """out, the values of an expression at (t, y, v); EvaluationError names
+    the first point where a value is singular."""
     finite = np.isfinite(out)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -393,7 +399,7 @@ def evaluate(e: Expr, t: Any, y: Any, v: Any) -> float | np.ndarray:
         raise EvaluationError(
             f"cannot evaluate expression at t={t!r}, y={y!r}, v={v!r}: "
             f"the value is {float(out.flat[i])!r}", t=t, y=y, v=v)
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def evaluate_array(e: Expr, t: Any, y: Any, v: Any) -> np.ndarray:

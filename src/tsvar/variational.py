@@ -27,7 +27,7 @@ from .errors import (
     ParameterError,
     SingularSystemError,
 )
-from .lagrangian import Expr, Lagrangian, evaluate, evaluate_array
+from .lagrangian import Lagrangian, evaluate_array, require_finite
 from .timescale import SampleGrid, TimeScale
 
 __all__ = [
@@ -117,15 +117,6 @@ class VerifyReport:
 
 # -- one trajectory under one integrand ------------------------------------------
 
-def _checked(e: Expr, values: np.ndarray, tA: np.ndarray, Y: np.ndarray,
-             V: np.ndarray) -> np.ndarray:
-    """values, the values of e at (tA, Y, V); EvaluationError at the first
-    non-finite one, as evaluate raises it."""
-    if not np.isfinite(values).all():
-        evaluate(e, tA, Y, V)  # raises at the first such point
-    return values
-
-
 class _Iterate:
     """A trajectory ys on the grid ts as the integrand lag sees it in the
     direction u: the packed arguments, and lag's value and first partials
@@ -153,18 +144,18 @@ class _Iterate:
 
     def values(self, name: str, checked: bool = True) -> np.ndarray:
         tA, Y, V, _ = self.args
-        e = getattr(self.lag, name)
         vals = self._values.get(name)
         if vals is None:
-            vals = self._values[name] = evaluate_array(e, tA, Y, V)
+            vals = self._values[name] = evaluate_array(getattr(self.lag, name), tA, Y, V)
         if checked and name not in self._checked:
-            _checked(e, vals, tA, Y, V)
+            require_finite(vals, tA, Y, V)
             self._checked.add(name)
         return vals
 
     def functional(self, checked: bool = True) -> float:
-        # an overflow gives inf, as delta_integral reports it
-        with np.errstate(over="ignore"):
+        # an overflow gives inf, as delta_integral reports it, and a sum of
+        # opposite overflows nan, which no convergence test accepts
+        with np.errstate(over="ignore", invalid="ignore"):
             return self.u * float(np.sum(self.values("L", checked) * self.args[3]))
 
     def grad(self, checked: bool = True) -> np.ndarray:
@@ -182,7 +173,7 @@ class _Iterate:
         bands: the diagonal (m values) and the symmetric off-diagonal
         (m - 1 values)."""
         tA, Y, V, wts = self.args
-        A, B, C = (_checked(e, evaluate_array(e, tA, Y, V), tA, Y, V)
+        A, B, C = (require_finite(evaluate_array(e, tA, Y, V), tA, Y, V)
                    for e in self.lag.second_partials)
         u3 = self.u ** 3
         cw = C / wts
@@ -524,6 +515,46 @@ def _prepared_grid(problem: Problem) -> tuple[SampleGrid, np.ndarray]:
     return grid, grid.points
 
 
+def _newton(problem: Problem, tol: float, max_iter: int, system, step, norm: str,
+            stalled=None):
+    """Damped Newton iteration on the state (ys, lam) from the affine start
+    and lam = 0: system(ts, z, lam, checked) gives an iterate's record and
+    the system's value phi, step(record, phi, lam) the step (dy, dlam), and
+    stalled(record, phi) may raise in place of a stalled line search.
+    Returns (grid, ys, lam, record, iterations)."""
+    if not tol > 0:
+        raise ParameterError(f"tol must be positive, got {tol!r}")
+    if max_iter < 0:
+        raise ParameterError(f"max_iter must be nonnegative, got {max_iter!r}")
+    grid, ts = _prepared_grid(problem)
+    ys, lam = _affine_start(problem, ts), 0.0
+
+    # the line search's trial at alpha along the current iterate's step
+    def trial(alpha: float):
+        z = _moved(ys, dy, alpha)
+        lam_try = lam + alpha * dlam
+        record_z, phi_z = system(ts, z, lam_try, False)
+        return (z, lam_try, record_z), phi_z
+
+    record, phi = system(ts, ys, lam, True)
+    iterations = 0
+    while not float(np.max(np.abs(phi))) <= tol:  # a nan norm does not converge
+        if iterations >= max_iter:
+            raise IterationLimitError(
+                f"no convergence after {max_iter} Newton steps "
+                f"({norm} norm {float(np.max(np.abs(phi))):.3e})",
+                last=tuple(ys.tolist()))
+        dy, dlam = step(record, phi, lam)
+        try:
+            (ys, lam, record), phi = _backtrack(trial, phi, tol, ys)
+        except IterationLimitError:
+            if stalled is not None:
+                stalled(record, phi)
+            raise
+        iterations += 1
+    return grid, ys, lam, record, iterations
+
+
 def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution:
     """Newton iteration with backtracking on the gradient of the discretized
     functional, starting from the affine interpolant between the boundary
@@ -533,35 +564,20 @@ def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution
     an interior point is about the residual times the step, so residual_max
     can exceed tol when h is small.
     """
-    if not tol > 0:
-        raise ParameterError(f"tol must be positive, got {tol!r}")
-    if max_iter < 0:
-        raise ParameterError(f"max_iter must be nonnegative, got {max_iter!r}")
-    grid, ts = _prepared_grid(problem)
     lag, u = problem.L, problem.u
-    ys = _affine_start(problem, ts)
 
-    # the line search's trial at alpha along the current iterate's step
-    def trial(alpha: float) -> tuple[tuple[np.ndarray, _Iterate], np.ndarray]:
-        z = _moved(ys, step, alpha)
-        at_z = _Iterate(lag, u, ts, z)
-        return (z, at_z), at_z.grad(checked=False)
+    def system(ts: np.ndarray, z: np.ndarray, lam: float, checked: bool):
+        at = _Iterate(lag, u, ts, z)
+        return at, at.grad(checked)
 
-    at = _Iterate(lag, u, ts, ys)
-    g = at.grad()
-    iterations = 0
-    while float(np.max(np.abs(g))) > tol:
-        if iterations >= max_iter:
-            raise IterationLimitError(
-                f"no convergence after {max_iter} Newton steps "
-                f"(stationarity norm {float(np.max(np.abs(g))):.3e})",
-                last=tuple(ys.tolist()))
-        [step] = _solve_tridiagonal(*at.hess(), -g)
-        if not np.all(np.isfinite(step)):
+    def step(at: _Iterate, g: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
+        [dy] = _solve_tridiagonal(*at.hess(), -g)
+        if not np.all(np.isfinite(dy)):
             raise SingularSystemError("Newton step is not finite")
-        (ys, at), g = _backtrack(trial, g, tol, ys)
-        iterations += 1
+        return dy, 0.0
 
+    grid, ys, _, at, iterations = _newton(problem, tol, max_iter, system, step,
+                                          "stationarity")
     res = _interior(u, at.residual())
     return Solution(
         y=GridFunction(grid, ys),
@@ -695,56 +711,33 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
     lam0 * (L-side residual) = lam * (constraint-side residual):
     a normal extremizer gets lam0 = 1, an abnormal one (0, 1).
     """
-    if not tol > 0:
-        raise ParameterError(f"tol must be positive, got {tol!r}")
-    if max_iter < 0:
-        raise ParameterError(f"max_iter must be nonnegative, got {max_iter!r}")
-    grid, ts = _prepared_grid(iso)
     u, w = iso.u, iso.w
-    ys = _affine_start(iso, ts)
-    lam_g = 0.0
-    m = len(grid.points) - 2
 
     # both integrands at z, the constraint's gradient there, and the
     # system's value
-    def system(z: np.ndarray, lam_val: float, checked: bool):
+    def system(ts: np.ndarray, z: np.ndarray, lam: float, checked: bool):
         at_l, at_g = _Iterate(iso.L, u, ts, z), _Iterate(iso.G, w, ts, z)
         gl, gg = at_l.grad(checked), at_g.grad(checked)
         cons = at_g.functional(checked) - iso.K
-        return (at_l, at_g, gg), np.concatenate([gl - lam_val * gg, [cons]])
+        return (at_l, at_g, gg), np.concatenate([gl - lam * gg, [cons]])
 
-    # the line search's trial at alpha along the current iterate's step
-    def trial(alpha: float):
-        z = _moved(ys, step, alpha)
-        lam_try = lam_g + alpha * dlam
-        at_z, phi_z = system(z, lam_try, checked=False)
-        return (z, lam_try, at_z), phi_z
-
-    (at_l, at_g, gg), phi = system(ys, lam_g, checked=True)
-    iterations = 0
-    while float(np.max(np.abs(phi))) > tol:
-        if iterations >= max_iter:
-            raise IterationLimitError(
-                f"no convergence after {max_iter} Newton steps "
-                f"(system norm {float(np.max(np.abs(phi))):.3e})",
-                last=tuple(ys.tolist()))
+    def step(record, phi: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
+        at_l, at_g, gg = record
         for name in ("dL_dy", "dL_dv"):  # a trial computed gg unchecked
             at_g.values(name)
         diag_l, off_l = at_l.hess()
         diag_g, off_g = at_g.hess()
-        step, dlam = _bordered_step(diag_l - lam_g * diag_g,
-                                    off_l - lam_g * off_g, gg, phi)
-        try:
-            (ys, lam_g, (at_l, at_g, gg)), phi = _backtrack(trial, phi, tol, ys)
-        except IterationLimitError:
-            cons_gap = abs(float(phi[m]))
-            if cons_gap > tol and float(np.max(np.abs(gg))) <= max(tol, 1e-12):
-                raise InfeasibleConstraintError(
-                    f"constraint value is insensitive to the trajectory but "
-                    f"misses its target by {cons_gap:.3e}") from None
-            raise
-        iterations += 1
+        return _bordered_step(diag_l - lam * diag_g, off_l - lam * off_g, gg, phi)
 
+    def stalled(record, phi: np.ndarray) -> None:
+        cons_gap = abs(float(phi[-1]))
+        if cons_gap > tol and float(np.max(np.abs(record[2]))) <= max(tol, 1e-12):
+            raise InfeasibleConstraintError(
+                f"constraint value is insensitive to the trajectory but "
+                f"misses its target by {cons_gap:.3e}") from None
+
+    grid, ys, lam_g, (at_l, at_g, _), iterations = _newton(
+        iso, tol, max_iter, system, step, "system", stalled)
     res_g = _interior(w, at_g.residual())
     if _interior_max(res_g) <= tol:
         lam0, lam_out, normal = 0.0, 1.0, False
