@@ -475,12 +475,3 @@ class Lagrangian:
     @classmethod
     def from_text(cls, text: str) -> "Lagrangian":
         return cls.from_expr(parse(text))
-
-    def value(self, t: float, y: float, v: float) -> float:
-        return evaluate(self.L, t, y, v)
-
-    def partial_y(self, t: float, y: float, v: float) -> float:
-        return evaluate(self.dL_dy, t, y, v)
-
-    def partial_v(self, t: float, y: float, v: float) -> float:
-        return evaluate(self.dL_dv, t, y, v)

@@ -44,6 +44,12 @@ __all__ = [
 ]
 
 
+def _require_finite(*named: tuple[str, float]) -> None:
+    for name, value in named:
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True, kw_only=True)
 class Problem:
     """Boundary value problem data for one direction u."""
@@ -56,6 +62,8 @@ class Problem:
     h: float = 1e-3
 
     def __post_init__(self) -> None:
+        _require_finite(("direction u", self.u), ("boundary value alpha", self.alpha),
+                        ("boundary value beta", self.beta))
         if self.u == 0:
             raise ParameterError(
                 "direction u must be nonzero: with u = 0 every admissible "
@@ -86,6 +94,7 @@ class IsoProblem(Problem):
 
     def __post_init__(self) -> None:
         Problem.__post_init__(self)
+        _require_finite(("constraint direction w", self.w), ("constraint value K", self.K))
         if self.w == 0:
             raise ParameterError("constraint direction w must be nonzero")
 

@@ -114,6 +114,19 @@ class TestSolve:
         assert len(cp.stderr.splitlines()) == 1, cp.stderr
         assert cp.stderr.startswith("error: no convergence after 100 Newton steps")
 
+    def test_nan_constraint_value_exits_3(self, tmp_path: Path):
+        # the constraint value sums overflows of both signs to nan, which
+        # does not pass as converged
+        prob = tmp_path / "nan.prob"
+        prob.write_text(ISO.replace("interval 0 1", "interval 0 8")
+                        .replace("beta = 0", "beta = 1\nh = 0.5")
+                        .replace("G = y", "G = 1.7e308*cos(1.2566*t) + v^2")
+                        .replace("K = 0.16666666666666666", "K = 0"))
+        cp = run_cli("solve", str(prob))
+        assert cp.returncode == 3
+        assert cp.stdout == ""
+        assert cp.stderr == "error: line search stalled before reaching the tolerance\n"
+
     def test_overflowing_functional_is_inf(self, tmp_path: Path, capsys):
         # in process, where the test settings make a leaked warning an error
         from tsvar import cli

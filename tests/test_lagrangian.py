@@ -366,9 +366,9 @@ def test_print_parse_round_trip():
 class TestLagrangian:
     def test_from_text_builds_partials(self):
         lag = Lagrangian.from_text("v^2 + t*y")
-        assert lag.partial_v(0.0, 0.0, 3.0) == 6.0
-        assert lag.partial_y(2.0, 0.0, 0.0) == 2.0
-        assert lag.value(1.0, 2.0, 3.0) == 11.0
+        assert evaluate(lag.dL_dv, 0.0, 0.0, 3.0) == 6.0
+        assert evaluate(lag.dL_dy, 2.0, 0.0, 0.0) == 2.0
+        assert evaluate(lag.L, 1.0, 2.0, 3.0) == 11.0
 
     def test_partials_are_exact_trees(self):
         lag = Lagrangian.from_text("v^2")

@@ -82,6 +82,20 @@ class TestProblemConstruction:
             Problem(scale=TimeScale.of_points(1.0), u=1.0, L=V2,
                     alpha=0.0, beta=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["u", "alpha", "beta", "w", "K"])
+    def test_non_finite_data_rejected(self, field, bad):
+        data = dict(scale=UNIT, u=1.0, L=V2, alpha=0.0, beta=0.0)
+        iso = dict(data, G=V2, w=1.0, K=1.0)
+        for cls, kwargs in ((Problem, data), (IsoProblem, iso)):
+            if field in kwargs:
+                with pytest.raises(ParameterError, match=f" {field} must be finite, got"):
+                    cls(**dict(kwargs, **{field: bad}))
+
+    def test_infinite_step_keeps_the_endpoints(self):
+        p = Problem(scale=UNIT, u=1.0, L=V2, alpha=0.0, beta=1.0, h=np.inf)
+        assert p.discretized().points.tolist() == [0.0, 1.0]
+
 
 class TestFunctionalValue:
     def test_delta_direction_classical(self):
@@ -980,6 +994,16 @@ class TestSolveIso:
                          alpha=0.3, beta=1.2, h=1 / 300,
                          G=Lagrangian.from_text("y + 0.1*y^3"), w=-0.6, K=-0.5)
         with pytest.raises(IterationLimitError, match="after 100 Newton steps"):
+            solve_iso(iso)
+
+    def test_nan_system_value_does_not_converge(self):
+        # the constraint's terms overflow to inf of both signs, so its value
+        # and the system's norm are nan, which must not pass as converged
+        iso = IsoProblem(scale=TimeScale.interval(0.0, 8.0), u=1.0, L=V2,
+                         alpha=0.0, beta=1.0, h=0.5,
+                         G=Lagrangian.from_text("1.7e308*cos(1.2566*t) + v^2"),
+                         w=1.0, K=0.0)
+        with pytest.raises(IterationLimitError, match="line search stalled"):
             solve_iso(iso)
 
     def test_nabla_pair(self):
