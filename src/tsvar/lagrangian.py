@@ -385,13 +385,13 @@ def evaluate(e: Expr, t: Any, y: Any, v: Any) -> float | np.ndarray:
     A value is singular when it is nan or infinite; EvaluationError names
     the first singular point.
     """
-    out = require_finite(evaluate_array(e, t, y, v), t, y, v)
+    out = raise_if_singular(evaluate_array(e, t, y, v), t, y, v)
     return float(out) if out.ndim == 0 else out
 
 
-def require_finite(out: np.ndarray, t: Any, y: Any, v: Any) -> np.ndarray:
-    """out, the values of an expression at (t, y, v); EvaluationError names
-    the first point where a value is singular."""
+def raise_if_singular(out: np.ndarray, t: Any, y: Any, v: Any) -> np.ndarray:
+    """out, the values of an expression at (t, y, v), once none is singular;
+    else EvaluationError names the first singular point."""
     finite = np.isfinite(out)
     if not finite.all():
         i = int(np.argmin(finite))

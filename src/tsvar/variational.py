@@ -27,7 +27,7 @@ from .errors import (
     ParameterError,
     SingularSystemError,
 )
-from .lagrangian import Lagrangian, evaluate_array, require_finite
+from .lagrangian import Lagrangian, evaluate_array, raise_if_singular
 from .timescale import SampleGrid, TimeScale
 
 __all__ = [
@@ -157,7 +157,7 @@ class _Iterate:
         if vals is None:
             vals = self._values[name] = evaluate_array(getattr(self.lag, name), tA, Y, V)
         if checked and name not in self._checked:
-            require_finite(vals, tA, Y, V)
+            raise_if_singular(vals, tA, Y, V)
             self._checked.add(name)
         return vals
 
@@ -182,7 +182,7 @@ class _Iterate:
         bands: the diagonal (m values) and the symmetric off-diagonal
         (m - 1 values)."""
         tA, Y, V, wts = self.args
-        A, B, C = (require_finite(evaluate_array(e, tA, Y, V), tA, Y, V)
+        A, B, C = (raise_if_singular(evaluate_array(e, tA, Y, V), tA, Y, V)
                    for e in self.lag.second_partials)
         u3 = self.u ** 3
         cw = C / wts
