@@ -115,8 +115,8 @@ class TestSolve:
         assert cp.stderr.startswith("error: no convergence after 100 Newton steps")
 
     def test_nan_constraint_value_exits_3(self, tmp_path: Path):
-        # the constraint value sums overflows of both signs to nan, which
-        # does not pass as converged
+        # the constraint's terms overflow to inf of both signs, so its value
+        # is nan, which does not pass as converged
         prob = tmp_path / "nan.prob"
         prob.write_text(ISO.replace("interval 0 1", "interval 0 8")
                         .replace("beta = 0", "beta = 1\nh = 0.5")
