@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .calculus import GridFunction
 from .errors import DomainError, ParameterError, PointNotInSetError
-from .timescale import first_nonfinite, readonly_array
+from .timescale import first_nonfinite, readonly_array, require_finite
 
 __all__ = [
     "PLFunction",
@@ -93,11 +93,6 @@ class PLFunction:
         return self._slope(bisect_left(self.breakpoints, t) - 1)
 
 
-def _check_direction(u: float) -> None:
-    if not math.isfinite(u):
-        raise ParameterError(f"direction u must be finite, got {u!r}")
-
-
 def extend(f: GridFunction) -> PLFunction:
     """Piecewise-linear extension of sampled values: chords across every gap."""
     return PLFunction(f.grid.points, f.values)
@@ -110,7 +105,7 @@ def epiderivative_closed(fbar: PLFunction, t: float, u: float) -> float:
     direction immediately leaves [a, b] (the empty-value convention), and 0
     for u == 0.
     """
-    _check_direction(u)
+    require_finite(("direction u", u))
     fbar._check_domain(t)
     if u == 0:
         return 0.0
@@ -132,7 +127,7 @@ def epiderivative_liminf(fbar: PLFunction, t: float, u: float,
     float resolution of f(t), and eventually divide by a zero step. Reports
     +inf when every step leaves the domain.
     """
-    _check_direction(u)
+    require_finite(("direction u", u))
     if not h0 > 0:
         raise ParameterError(f"h0 must be positive, got {h0!r}")
     if k_max < 0:
@@ -177,7 +172,7 @@ def liminf_params(fbar: PLFunction, t: float, u: float,
     When no step is admissible the estimator will report +inf regardless,
     and (1.0, 0) is returned.
     """
-    _check_direction(u)
+    require_finite(("direction u", u))
     fbar._check_domain(t)
     span = (fbar.b - t) if u > 0 else (t - fbar.a)
     if u == 0 or span <= 0:

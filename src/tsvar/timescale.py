@@ -287,6 +287,14 @@ def first_nonfinite(arr: np.ndarray) -> float | None:
     return None if finite.all() else float(arr[np.argmin(finite)])
 
 
+def require_finite(*named: tuple[str, float]) -> None:
+    """Raise ParameterError naming the first (name, value) pair whose value
+    is nan or infinite."""
+    for name, value in named:
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class SampleGrid:
     """Strictly increasing sample points; dense_flags marks approximation points

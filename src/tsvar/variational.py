@@ -28,7 +28,7 @@ from .errors import (
     SingularSystemError,
 )
 from .lagrangian import Lagrangian, evaluate_array, raise_if_singular
-from .timescale import SampleGrid, TimeScale
+from .timescale import SampleGrid, TimeScale, require_finite
 
 __all__ = [
     "Problem",
@@ -44,12 +44,6 @@ __all__ = [
 ]
 
 
-def _require_finite(*named: tuple[str, float]) -> None:
-    for name, value in named:
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True, kw_only=True)
 class Problem:
     """Boundary value problem data for one direction u."""
@@ -62,8 +56,8 @@ class Problem:
     h: float = 1e-3
 
     def __post_init__(self) -> None:
-        _require_finite(("direction u", self.u), ("boundary value alpha", self.alpha),
-                        ("boundary value beta", self.beta))
+        require_finite(("direction u", self.u), ("boundary value alpha", self.alpha),
+                       ("boundary value beta", self.beta))
         if self.u == 0:
             raise ParameterError(
                 "direction u must be nonzero: with u = 0 every admissible "
@@ -94,7 +88,7 @@ class IsoProblem(Problem):
 
     def __post_init__(self) -> None:
         Problem.__post_init__(self)
-        _require_finite(("constraint direction w", self.w), ("constraint value K", self.K))
+        require_finite(("constraint direction w", self.w), ("constraint value K", self.K))
         if self.w == 0:
             raise ParameterError("constraint direction w must be nonzero")
 
@@ -383,10 +377,9 @@ def _interior(u: float, values: np.ndarray) -> np.ndarray:
     return values[2:] if u > 0 else values[:-2]
 
 
-def _interior_residual(problem: Problem, at: _Iterate, ts: np.ndarray,
-                       ys: np.ndarray, lam0: float | None,
-                       lam: float | None) -> np.ndarray:
-    """Residual on the doubly truncated interior of the trajectory ys, with
+def _interior_residual(problem: Problem, at: _Iterate, y: GridFunction,
+                       lam0: float | None, lam: float | None) -> np.ndarray:
+    """Residual on the doubly truncated interior of the trajectory y, with
     at its record under problem.L; with the multiplier pair, the combined
     residual lam0 * (L side) - lam * (constraint side)."""
     if (lam0 is not None or lam is not None) and not isinstance(problem, IsoProblem):
@@ -398,40 +391,34 @@ def _interior_residual(problem: Problem, at: _Iterate, ts: np.ndarray,
     res = _interior(problem.u, at.residual())
     if lam is None:
         return res
-    res_g = _interior(problem.w, _Iterate(problem.G, problem.w, ts, ys).residual())
+    ts = problem.discretized().points
+    res_g = _interior(problem.w, _Iterate(problem.G, problem.w, ts, y.values).residual())
     return lam0 * res - lam * res_g
 
 
-# -- structural checks ------------------------------------------------------------
-
-def _require_grid(problem: Problem, y: GridFunction) -> SampleGrid:
-    grid = problem.discretized()
-    if y.grid is not grid and not np.array_equal(y.grid.points, grid.points):
-        n, n_grid = len(y.grid.points), len(grid.points)
+def _opened(problem: Problem, y: GridFunction, boundaries: bool = True) -> _Iterate:
+    """y's record under problem.L, once y is found to lie on the discretized
+    grid and, with boundaries, to meet the boundary values."""
+    ts = problem.discretized().points
+    if y.grid.points is not ts and not np.array_equal(y.grid.points, ts):
+        n, n_grid = len(y.grid.points), len(ts)
         raise GridMismatchError(
             f"trajectory has {n} points but the discretized grid has "
             f"{n_grid}; its points must equal the grid points", n, n_grid)
-    return grid
-
-
-def _ends(y: GridFunction) -> tuple[float, float]:
-    return float(y.values[0]), float(y.values[-1])
-
-
-def _require_boundaries(problem: Problem, y: GridFunction) -> None:
-    if _ends(y) != (problem.alpha, problem.beta):
-        raise BoundaryMismatchError(
-            f"boundary values {_ends(y)!r} do not match "
-            f"the prescribed ({problem.alpha!r}, {problem.beta!r})")
+    if boundaries:
+        ends = float(y.values[0]), float(y.values[-1])
+        if ends != (problem.alpha, problem.beta):
+            raise BoundaryMismatchError(
+                f"boundary values {ends!r} do not match "
+                f"the prescribed ({problem.alpha!r}, {problem.beta!r})")
+    return _Iterate(problem.L, problem.u, ts, y.values)
 
 
 # -- public operations ---------------------------------------------------------------
 
 def functional_value(problem: Problem, y: GridFunction) -> float:
     """Value of the direction-scaled functional along a trajectory."""
-    _require_grid(problem, y)
-    _require_boundaries(problem, y)
-    return _Iterate(problem.L, problem.u, y.grid.points, y.values).functional()
+    return _opened(problem, y).functional()
 
 
 def el_residual(problem: Problem, y: GridFunction) -> GridFunction:
@@ -441,12 +428,10 @@ def el_residual(problem: Problem, y: GridFunction) -> GridFunction:
     for u < 0 on all except the first two. Zeros of the residual are the
     necessary optimality condition.
     """
-    grid = _require_grid(problem, y)
-    _require_boundaries(problem, y)
-    n = len(grid.points)
-    if n < 3:
+    at, grid = _opened(problem, y), problem.discretized()
+    if len(grid.points) < 3:
         raise DegenerateScaleError("the residual needs at least three grid points")
-    res = _Iterate(problem.L, problem.u, grid.points, y.values).residual()
+    res = at.residual()
     if problem.u > 0:
         sub = SampleGrid(grid.points[:-2], grid.dense_flags[:-2])
     else:
@@ -461,13 +446,10 @@ def residual_column(problem: Problem, y: GridFunction,
     interior, None elsewhere. With the multiplier pair the column is the
     combined residual lam0 * (L side) - lam * (constraint side); a lone
     multiplier raises ParameterError."""
-    grid = _require_grid(problem, y)
-    if enforce_boundaries:
-        _require_boundaries(problem, y)
-    n, ts, ys = len(grid.points), grid.points, y.values
     # the record is dropped before the list is built
-    res = _interior_residual(problem, _Iterate(problem.L, problem.u, ts, ys),
-                             ts, ys, lam0, lam)
+    res = _interior_residual(problem, _opened(problem, y, enforce_boundaries),
+                             y, lam0, lam)
+    n = len(y)
     col: list[float | None] = [None] * n
     col[2:n - 2] = res.tolist()
     return col
@@ -491,11 +473,9 @@ def verify(problem: Problem, y: GridFunction, tol: float,
     Multipliers on a plain Problem, and a lone multiplier, raise
     ParameterError.
     """
-    grid = _require_grid(problem, y)
-    boundary_ok = _ends(y) == (problem.alpha, problem.beta)
-    ts, ys = grid.points, y.values
-    at = _Iterate(problem.L, problem.u, ts, ys)
-    residual_max = _interior_max(_interior_residual(problem, at, ts, ys, lam0, lam))
+    at = _opened(problem, y, boundaries=False)
+    boundary_ok = (float(y.values[0]), float(y.values[-1])) == (problem.alpha, problem.beta)
+    residual_max = _interior_max(_interior_residual(problem, at, y, lam0, lam))
     return VerifyReport(
         boundary_ok=boundary_ok,
         residual_max=residual_max,
@@ -554,6 +534,8 @@ def _newton(problem: Problem, tol: float, max_iter: int, system, step, norm: str
                 f"({norm} norm {float(np.max(np.abs(phi))):.3e})",
                 last=tuple(ys.tolist()))
         dy, dlam = step(record, phi, lam)
+        if not (np.all(np.isfinite(dy)) and math.isfinite(dlam)):
+            raise SingularSystemError("Newton step is not finite")
         try:
             (ys, lam, record), phi = _backtrack(trial, phi, tol, ys)
         except IterationLimitError:
@@ -581,8 +563,6 @@ def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution
 
     def step(at: _Iterate, g: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
         [dy] = _solve_tridiagonal(*at.hess(), -g)
-        if not np.all(np.isfinite(dy)):
-            raise SingularSystemError("Newton step is not finite")
         return dy, 0.0
 
     grid, ys, _, at, iterations = _newton(problem, tol, max_iter, system, step,
@@ -648,15 +628,11 @@ def _bordered_step(diag: np.ndarray, off: np.ndarray, gg: np.ndarray,
         return -float(phi[m]) / gn * gg, float(gg @ phi[:m]) / gn
     ab = _cyclic_reduction(diag, off, (-phi[:m], gg))
     if ab is None:
-        step, dlam = _bordered_elimination(diag, off, gg, phi)
-    else:
-        a, b = ab
-        gb = float(gg @ b)
-        dlam = (-float(phi[m]) - float(gg @ a)) / gb if gb != 0.0 else 0.0
-        step = a + dlam * b
-    if not (np.all(np.isfinite(step)) and math.isfinite(dlam)):
-        raise SingularSystemError("Newton step is not finite")
-    return step, dlam
+        return _bordered_elimination(diag, off, gg, phi)
+    a, b = ab
+    gb = float(gg @ b)
+    dlam = (-float(phi[m]) - float(gg @ a)) / gb if gb != 0.0 else 0.0
+    return a + dlam * b, dlam
 
 
 def _bordered_elimination(diag: np.ndarray, off: np.ndarray, gg: np.ndarray,
