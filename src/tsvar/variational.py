@@ -431,12 +431,8 @@ def el_residual(problem: Problem, y: GridFunction) -> GridFunction:
     at, grid = _opened(problem, y), problem.discretized()
     if len(grid.points) < 3:
         raise DegenerateScaleError("the residual needs at least three grid points")
-    res = at.residual()
-    if problem.u > 0:
-        sub = SampleGrid(grid.points[:-2], grid.dense_flags[:-2])
-    else:
-        sub = SampleGrid(grid.points[2:], grid.dense_flags[2:])
-    return GridFunction(sub, res)
+    kept = slice(None, -2) if problem.u > 0 else slice(2, None)
+    return GridFunction(SampleGrid(grid.points[kept], grid.dense_flags[kept]), at.residual())
 
 
 def residual_column(problem: Problem, y: GridFunction,
