@@ -128,8 +128,8 @@ def epiderivative_liminf(fbar: PLFunction, t: float, u: float,
     +inf when every step leaves the domain.
     """
     require_finite(("direction u", u))
-    if not h0 > 0:
-        raise ParameterError(f"h0 must be positive, got {h0!r}")
+    if not 0 < h0 < math.inf:
+        raise ParameterError(f"h0 must be positive and finite, got {h0!r}")
     if k_max < 0:
         raise ParameterError(f"k_max must be nonnegative, got {k_max!r}")
     fbar._check_domain(t)

@@ -507,8 +507,8 @@ def _newton(problem: Problem, tol: float, max_iter: int, system, step, norm: str
     the system's value phi, step(record, phi, lam) the step (dy, dlam), and
     stalled(record, phi) may raise in place of a stalled line search.
     Returns (grid, ys, lam, record, iterations)."""
-    if not tol > 0:
-        raise ParameterError(f"tol must be positive, got {tol!r}")
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
     if max_iter < 0:
         raise ParameterError(f"max_iter must be nonnegative, got {max_iter!r}")
     grid, ts = _prepared_grid(problem)

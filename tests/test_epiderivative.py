@@ -159,6 +159,14 @@ class TestLiminf:
         assert got == pytest.approx(1.0, abs=1e-12)
 
 
+class TestFiniteStep:
+    @pytest.mark.parametrize("h0", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejected(self, h0):
+        with pytest.raises(ParameterError,
+                           match=f"^h0 must be positive and finite, got {h0!r}$"):
+            epiderivative_liminf(VEE, 0.5, 1.0, h0, 10)
+
+
 class TestCone:
     def test_interior_point_is_whole_plane(self):
         cone = contingent_cone_epi(VEE, 0.5, 10.0)

@@ -1203,3 +1203,96 @@ class TestOneGridPerProblem:
             verify(p, y, tol=1e-8)
         assert "CSV" not in str(info.value) and "column" not in str(info.value)
         assert (info.value.points, info.value.grid_points) == (26, 51)
+
+
+class TestOneOpener:
+    """The four public checks open a trajectory alike: the grid is checked
+    first, then the boundary values, then the multipliers."""
+
+    CHECKS = {
+        "functional_value": lambda p, y: functional_value(p, y),
+        "el_residual": lambda p, y: el_residual(p, y),
+        "residual_column": lambda p, y: residual_column(p, y),
+        "verify": lambda p, y: verify(p, y, tol=1e-8),
+        "verify with a lone multiplier": lambda p, y: verify(p, y, 1e-8, lam0=1.0),
+    }
+
+    def problem(self):
+        return IsoProblem(scale=UNIT, u=1.0, L=Lagrangian.from_text("v^2 + y^2"),
+                          alpha=0.0, beta=1.0, h=0.02, G=Lagrangian.from_text("y"),
+                          w=1.0, K=0.5)
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_grid_before_boundaries(self, check):
+        y = trajectory(classical(h=0.04), lambda t: t + 0.5)
+        with pytest.raises(GridMismatchError, match="has 26 points but the "
+                           "discretized grid has 51"):
+            self.CHECKS[check](self.problem(), y)
+
+    @pytest.mark.parametrize("check", ["functional_value", "el_residual",
+                                       "residual_column"])
+    def test_boundaries(self, check):
+        p = self.problem()
+        y = trajectory(p, lambda t: t + 0.5)
+        with pytest.raises(BoundaryMismatchError,
+                           match=r"\(0\.5, 1\.5\) do not match the prescribed"):
+            self.CHECKS[check](p, y)
+
+    def test_boundaries_before_multipliers(self):
+        p = self.problem()
+        with pytest.raises(BoundaryMismatchError):
+            residual_column(p, trajectory(p, lambda t: t + 0.5), lam0=1.0)
+
+    def test_verify_reports_wrong_boundaries(self):
+        p = self.problem()
+        y = trajectory(p, lambda t: t + 0.5)
+        report = verify(p, y, tol=1e9)
+        assert report.boundary_ok is False
+        assert report.passed is False
+        col = residual_column(p, y, enforce_boundaries=False)
+        assert report.residual_max == max(abs(v) for v in col if v is not None)
+
+
+class TestNewtonStepCheck:
+    """_newton refuses a step that is not finite, whichever solver path made
+    it, before the line search sees it."""
+
+    def test_solve(self, monkeypatch):
+        from tsvar import variational
+
+        monkeypatch.setattr(variational, "_solve_tridiagonal",
+                            lambda diag, off, *rhs: [np.full(diag.size, np.nan)])
+        with pytest.raises(SingularSystemError, match="^Newton step is not finite$"):
+            solve(classical(L=Lagrangian.from_text("v^2 + y^2"), h=0.25))
+
+    def test_solve_iso(self, monkeypatch):
+        from tsvar import variational
+
+        monkeypatch.setattr(variational, "_bordered_step",
+                            lambda diag, off, gg, phi: (np.zeros(diag.size), np.inf))
+        iso = IsoProblem(scale=UNIT, u=1.0, L=V2, alpha=0.0, beta=0.0, h=0.25,
+                         G=Lagrangian.from_text("y"), w=1.0, K=0.5)
+        with pytest.raises(SingularSystemError, match="^Newton step is not finite$"):
+            solve_iso(iso)
+
+    def test_zero_hessian_least_squares_step(self):
+        # L and G are linear, so H = 0 at lam = 0 and the step is
+        # -phi_K g / g^T g, whose g^T g is subnormal: the step overflows
+        iso = IsoProblem(scale=UNIT, u=1.0, L=Lagrangian.from_text("y"),
+                         alpha=0.0, beta=0.0, h=0.25,
+                         G=Lagrangian.from_text("1e-160*y"), w=1.0, K=1.0)
+        with pytest.raises(SingularSystemError, match="^Newton step is not finite$"):
+            solve_iso(iso)
+
+
+class TestFiniteTolerance:
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+    def test_rejected_by_both_solvers(self, tol):
+        p = classical(L=Lagrangian.from_text("v^2 + y^2"), h=0.25)
+        iso = IsoProblem(scale=UNIT, u=1.0, L=V2, alpha=0.0, beta=0.0, h=0.25,
+                         G=Lagrangian.from_text("y"), w=1.0, K=0.5)
+        message = f"^tol must be positive and finite, got {tol!r}$"
+        with pytest.raises(ParameterError, match=message):
+            solve(p, tol=tol)
+        with pytest.raises(ParameterError, match=message):
+            solve_iso(iso, tol=tol)
