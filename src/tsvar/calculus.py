@@ -140,18 +140,39 @@ def _between(f: GridFunction, c: float, d: float) -> tuple[np.ndarray, np.ndarra
     return f.grid.points[ic:id_ + 1], f.values[ic:id_ + 1]
 
 
+def _rectangle_sum(vals: np.ndarray, steps: np.ndarray) -> float:
+    """The sum of the products vals * steps, rounded once: by math.fsum
+    while nothing overflows, else exactly, as one integer times a power of
+    two, so that only a sum that overflows gives inf."""
+    with np.errstate(over="ignore"):
+        try:
+            total = math.fsum((vals * steps).tolist())
+        except (OverflowError, ValueError):  # an overflow on the way, or inf - inf
+            total = math.inf
+    if math.isfinite(total):
+        return total
+    # each product as m * 2^e: mv * ms is 0 or at least 1/4 in magnitude,
+    # so m = 2^54 mv ms is an integer
+    (mv, ev), (ms, es) = np.frexp(vals), np.frexp(steps)
+    mant, exps = np.ldexp(mv * ms, 54).astype(np.int64).tolist(), (ev + es - 54).tolist()
+    low = min(0, min(exps))
+    exact = sum(m << (e - low) for m, e in zip(mant, exps))
+    try:
+        return exact / (1 << -low)  # int / int rounds once
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
 def delta_integral(f: GridFunction, c: float, d: float) -> float:
     """Left-rectangle sum of f over [c, d): sum of f(t_i) * (t_{i+1} - t_i)."""
     pts, vals = _between(f, c, d)
-    with np.errstate(over="ignore"):
-        return math.fsum((vals[:-1] * np.diff(pts)).tolist())
+    return _rectangle_sum(vals[:-1], np.diff(pts))
 
 
 def nabla_integral(f: GridFunction, c: float, d: float) -> float:
     """Right-rectangle sum of f over (c, d]: sum of f(t_i) * (t_i - t_{i-1})."""
     pts, vals = _between(f, c, d)
-    with np.errstate(over="ignore"):
-        return math.fsum((vals[1:] * np.diff(pts)).tolist())
+    return _rectangle_sum(vals[1:], np.diff(pts))
 
 
 def write_rows(stream: TextIO, fmt: str, columns: Sequence[Sequence[float]],

@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +126,48 @@ class TestIntegrals:
         f = sample(FOUR, lambda t: t)
         assert delta_integral(f, 2.0, 2.0) == 0.0
         assert nabla_integral(f, 2.0, 2.0) == 0.0
+
+
+class TestOverflowingSums:
+    """A product or a partial sum that overflows no longer ends the sum: it
+    is summed again at a power-of-two scale, and the result is the sum
+    rounded once, inf only when the sum itself overflows."""
+
+    @staticmethod
+    def exact(vals, steps):
+        total = sum(Fraction(v) * Fraction(s) for v, s in zip(vals, steps))
+        try:
+            return float(total)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
+
+    @pytest.mark.parametrize("points, values, delta, nabla", [
+        # the products overflow with both signs: fsum once raised ValueError
+        ((0, 2, 4), (1e308, -1e308, 0.0), 0.0, -math.inf),
+        # every product is finite, a partial sum is not: fsum once raised
+        # OverflowError
+        ((0, 1, 2, 3), (1e308, 1e308, -1e308, 0.0), 1e308, 0.0),
+        ((0, 1, 2, 3), (1e308, 1e308, 1e308, 0.0), math.inf, math.inf),
+        ((0, 1, 2, 3), (-1e308, -1e308, -1e308, 0.0), -math.inf, -math.inf),
+        ((0, 1, 2, 3, 4), (1e308, 1e308, -1e308, 1.5, -1.7e308), 1e308, -1.7e308),
+    ])
+    def test_sums(self, points, values, delta, nabla):
+        f = GridFunction(TimeScale.of_points(*points).discretize(1.0), values)
+        a, b = points[0], points[-1]
+        steps = [q - p for p, q in zip(points, points[1:])]
+        assert delta_integral(f, a, b) == delta == self.exact(values[:-1], steps)
+        assert nabla_integral(f, a, b) == nabla == self.exact(values[1:], steps)
+
+    @given(st.lists(st.floats(-1.7e308, 1.7e308), min_size=2, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_correctly_rounded(self, values):
+        # a step of 2 makes every product exact, and any value above 2^1023
+        # overflow
+        points = [2.0 * k for k in range(len(values))]
+        f = GridFunction(TimeScale.of_points(*points).discretize(1.0), values)
+        steps = [2.0] * (len(values) - 1)
+        assert delta_integral(f, 0.0, points[-1]) == self.exact(values[:-1], steps)
+        assert nabla_integral(f, 0.0, points[-1]) == self.exact(values[1:], steps)
 
 
 class TestIdentities:

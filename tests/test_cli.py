@@ -431,6 +431,45 @@ class TestNonFiniteProblemValues:
         assert len(cp.stderr.splitlines()) == 1, cp.stderr
 
 
+class TestOverflowingSums:
+    """calc int and nint sum products that overflow, with exit 0: the
+    result is inf only when the sum itself overflows."""
+
+    @pytest.mark.parametrize("op, literal, values, out", [
+        ("int", "points 0 2 4", "1e308,-1e308,0", "0\n"),
+        ("int", "points 0 1 2 3", "1e308,1e308,-1e308,0", "1e+308\n"),
+        ("int", "points 0 1 2 3", "1e308,1e308,1e308,0", "inf\n"),
+        ("nint", "points 0 2 4", "1e308,-1e308,0", "-inf\n"),
+        ("nint", "points 0 1 2 3", "1e308,1e308,-1e308,0", "0\n"),
+    ])
+    def test_calc(self, tmp_path: Path, op, literal, values, out):
+        fcsv = tmp_path / "f.csv"
+        fcsv.write_text("t,value\n" + "".join(
+            f"{t},{v}\n" for t, v in zip(literal.split()[1:], values.split(","))))
+        cp = run_cli("calc", op, literal, "--f", str(fcsv))
+        assert (cp.returncode, cp.stdout, cp.stderr) == (0, out, "")
+
+
+class TestInfiniteTolerances:
+    """An infinite --tol or --h0 is malformed input: exit 2, one line."""
+
+    def test_solve_tol(self, tmp_path: Path):
+        prob = tmp_path / "p.prob"
+        prob.write_text(CLASSIC.replace("L = v^2", "L = v^2 + y^2")
+                        .replace("1e-3", "0.25"))
+        cp = run_cli("solve", str(prob), "--tol", "inf")
+        assert (cp.returncode, cp.stdout) == (2, "")
+        assert cp.stderr == "error: tol must be positive and finite, got inf\n"
+
+    def test_epideriv_h0(self, tmp_path: Path):
+        fcsv = tmp_path / "two.csv"
+        fcsv.write_text("t,value\n0,1\n1,2\n")
+        cp = run_cli("epideriv", "points 0 1", "--f", str(fcsv), "--t", "0",
+                     "--u", "1", "--h0", "inf")
+        assert (cp.returncode, cp.stdout) == (2, "")
+        assert cp.stderr == "error: h0 must be positive and finite, got inf\n"
+
+
 class TestUsage:
     def test_no_command(self):
         cp = run_cli()
