@@ -6,9 +6,12 @@ Integrands use only `+ - * / ^` and `sqrt`, which IEEE 754 rounds correctly,
 so the expected bytes do not depend on the CPU's vectorized `exp`/`log`/`sin`.
 
 The expected files record the behaviour of the code they were generated
-with; regenerate them only on purpose, with
+with. To pin a new case, add it to CASES and run
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
+
+which writes the files of every case that has none and leaves the others
+alone. To re-pin a case on purpose, delete its files first.
 """
 
 from __future__ import annotations
@@ -49,6 +52,11 @@ CASES = {
     "residual_large": ["residual", "residual_large.prob", "--y", "trajectory_large.csv"],
     # a problem file as the SCALE argument: its [timescale] section is read
     "calc_int_problem_file": ["calc", "int", "residual.prob", "--f", "trajectory.csv"],
+    # products that overflow with both signs, and a partial sum that does
+    "calc_int_overflow_cancel": ["calc", "int", "points 0 2 4", "--f",
+                                 "overflow_cancel.csv"],
+    "calc_int_overflow_partial": ["calc", "int", "points 0 1 2 3", "--f",
+                                  "overflow_partial.csv"],
 }
 
 
@@ -80,12 +88,30 @@ def test_golden(name: str):
     assert stdout == want_out
 
 
+def test_regenerate_writes_only_missing_cases(tmp_path, monkeypatch, capsys):
+    here = sys.modules[__name__]
+    monkeypatch.setattr(here, "GOLDEN", tmp_path)
+    monkeypatch.setattr(here, "CASES", {"pinned": ["a"], "new": ["b"]})
+    monkeypatch.setattr(here, "_run", lambda argv: (f"out {argv[0]}\n", "", 0))
+    (tmp_path / "expected").mkdir()
+    (tmp_path / "expected" / "pinned.stdout").write_text("old\n")
+    _regenerate()
+    assert capsys.readouterr().out == "pinned new\n"
+    assert sorted(p.name for p in (tmp_path / "expected").iterdir()) == [
+        "new.exit", "new.stderr", "new.stdout", "pinned.stdout"]
+    assert (tmp_path / "expected" / "pinned.stdout").read_text() == "old\n"
+    assert (tmp_path / "expected" / "new.stdout").read_text() == "out b\n"
+
+
 def _regenerate() -> None:
     target = GOLDEN / "expected"
     target.mkdir(exist_ok=True)
     for name, argv in CASES.items():
-        stdout, stderr, code = _run(argv)
         base = target / name
+        if any(base.with_suffix(s).exists() for s in (".stdout", ".stderr", ".exit")):
+            continue
+        stdout, stderr, code = _run(argv)
+        print(f"pinned {name}")
         base.with_suffix(".stdout").write_bytes(stdout.encode())
         base.with_suffix(".stderr").write_bytes(stderr.encode())
         base.with_suffix(".exit").write_text(f"{code}\n")
