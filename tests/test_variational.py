@@ -1210,9 +1210,9 @@ class TestOneOpener:
     first, then the boundary values, then the multipliers."""
 
     CHECKS = {
-        "functional_value": lambda p, y: functional_value(p, y),
-        "el_residual": lambda p, y: el_residual(p, y),
-        "residual_column": lambda p, y: residual_column(p, y),
+        "functional_value": functional_value,
+        "el_residual": el_residual,
+        "residual_column": residual_column,
         "verify": lambda p, y: verify(p, y, tol=1e-8),
         "verify with a lone multiplier": lambda p, y: verify(p, y, 1e-8, lam0=1.0),
     }
