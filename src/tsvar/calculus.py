@@ -140,25 +140,24 @@ def _between(f: GridFunction, c: float, d: float) -> tuple[np.ndarray, np.ndarra
     return f.grid.points[ic:id_ + 1], f.values[ic:id_ + 1]
 
 
-def _rectangle_sum(vals: np.ndarray, steps: np.ndarray) -> float:
-    """The sum of the products vals * steps, rounded once: by math.fsum
-    while nothing overflows, else exactly, as one integer times a power of
-    two, so that only a sum that overflows gives inf."""
-    with np.errstate(over="ignore"):
+def _rectangle_sum(vals: np.ndarray, pts: np.ndarray) -> float:
+    """Sum of vals[i] * (pts[i+1] - pts[i]): math.fsum of the float products
+    while that is finite, else the exact sum rounded once (inf on overflow only)."""
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            total = math.fsum((vals * steps).tolist())
+            total = math.fsum((vals * np.diff(pts)).tolist())
         except (OverflowError, ValueError):  # an overflow on the way, or inf - inf
             total = math.inf
     if math.isfinite(total):
         return total
-    # each product as m * 2^e: mv * ms is 0 or at least 1/4 in magnitude,
-    # so m = 2^54 mv ms is an integer
-    (mv, ev), (ms, es) = np.frexp(vals), np.frexp(steps)
-    mant, exps = np.ldexp(mv * ms, 54).astype(np.int64).tolist(), (ev + es - 54).tolist()
-    low = min(0, min(exps))
-    exact = sum(m << (e - low) for m, e in zip(mant, exps))
+    # each float as an integer times 2^-k, one k for all; a step may
+    # overflow as a float, so it is taken from the points
+    ratios = [list(map(float.as_integer_ratio, arr.tolist())) for arr in (vals, pts)]
+    k = max(d for r in ratios for _, d in r).bit_length() - 1
+    v, p = ([n << (k + 1 - d.bit_length()) for n, d in r] for r in ratios)
+    exact = sum(map(lambda x, a, b: x * (b - a), v, p, p[1:]))
     try:
-        return exact / (1 << -low)  # int / int rounds once
+        return exact / (1 << 2 * k)  # int / int rounds once
     except OverflowError:
         return math.inf if exact > 0 else -math.inf
 
@@ -166,13 +165,13 @@ def _rectangle_sum(vals: np.ndarray, steps: np.ndarray) -> float:
 def delta_integral(f: GridFunction, c: float, d: float) -> float:
     """Left-rectangle sum of f over [c, d): sum of f(t_i) * (t_{i+1} - t_i)."""
     pts, vals = _between(f, c, d)
-    return _rectangle_sum(vals[:-1], np.diff(pts))
+    return _rectangle_sum(vals[:-1], pts)
 
 
 def nabla_integral(f: GridFunction, c: float, d: float) -> float:
     """Right-rectangle sum of f over (c, d]: sum of f(t_i) * (t_i - t_{i-1})."""
     pts, vals = _between(f, c, d)
-    return _rectangle_sum(vals[1:], np.diff(pts))
+    return _rectangle_sum(vals[1:], pts)
 
 
 def write_rows(stream: TextIO, fmt: str, columns: Sequence[Sequence[float]],

@@ -396,6 +396,12 @@ def _interior_residual(problem: Problem, at: _Iterate, y: GridFunction,
     return lam0 * res - lam * res_g
 
 
+def _missed_ends(problem: Problem, y: GridFunction) -> tuple[float, float] | None:
+    """y's end values when they differ from the boundary values, else None."""
+    ends = float(y.values[0]), float(y.values[-1])
+    return None if ends == (problem.alpha, problem.beta) else ends
+
+
 def _opened(problem: Problem, y: GridFunction, boundaries: bool = True) -> _Iterate:
     """y's record under problem.L, once y is found to lie on the discretized
     grid and, with boundaries, to meet the boundary values."""
@@ -405,12 +411,10 @@ def _opened(problem: Problem, y: GridFunction, boundaries: bool = True) -> _Iter
         raise GridMismatchError(
             f"trajectory has {n} points but the discretized grid has "
             f"{n_grid}; its points must equal the grid points", n, n_grid)
-    if boundaries:
-        ends = float(y.values[0]), float(y.values[-1])
-        if ends != (problem.alpha, problem.beta):
-            raise BoundaryMismatchError(
-                f"boundary values {ends!r} do not match "
-                f"the prescribed ({problem.alpha!r}, {problem.beta!r})")
+    if boundaries and (missed := _missed_ends(problem, y)) is not None:
+        raise BoundaryMismatchError(
+            f"boundary values {missed!r} do not match "
+            f"the prescribed ({problem.alpha!r}, {problem.beta!r})")
     return _Iterate(problem.L, problem.u, ts, y.values)
 
 
@@ -470,7 +474,7 @@ def verify(problem: Problem, y: GridFunction, tol: float,
     ParameterError.
     """
     at = _opened(problem, y, boundaries=False)
-    boundary_ok = (float(y.values[0]), float(y.values[-1])) == (problem.alpha, problem.beta)
+    boundary_ok = _missed_ends(problem, y) is None
     residual_max = _interior_max(_interior_residual(problem, at, y, lam0, lam))
     return VerifyReport(
         boundary_ok=boundary_ok,

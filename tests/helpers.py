@@ -277,6 +277,7 @@ def reference_solve_iso(iso, tol: float = 1e-10, max_iter: int = 100):
         diag_g, off_g = _Iterate(iso.G, w, ts, ys).hess()
         step, dlam = _bordered_step(diag_l - lam_g * diag_g,
                                     off_l - lam_g * off_g, gg, phi)
+        assert np.all(np.isfinite(step)) and math.isfinite(dlam)
         (ys, lam_g), phi = _backtrack(trial, phi, tol, ys)
         iterations += 1
     res_g = _interior(w, _Iterate(iso.G, w, ts, ys).residual())

@@ -129,13 +129,14 @@ class TestIntegrals:
 
 
 class TestOverflowingSums:
-    """A product or a partial sum that overflows no longer ends the sum: it
-    is summed again at a power-of-two scale, and the result is the sum
-    rounded once, inf only when the sum itself overflows."""
+    """A product, a step or a partial sum that overflows no longer ends the
+    sum: it is summed again exactly from the points, and the result is the
+    sum rounded once, inf only when the sum itself overflows."""
 
     @staticmethod
-    def exact(vals, steps):
-        total = sum(Fraction(v) * Fraction(s) for v, s in zip(vals, steps))
+    def exact(vals, points):
+        total = sum(Fraction(v) * (Fraction(q) - Fraction(p))
+                    for v, p, q in zip(vals, points, points[1:]))
         try:
             return float(total)
         except OverflowError:
@@ -150,13 +151,18 @@ class TestOverflowingSums:
         ((0, 1, 2, 3), (1e308, 1e308, 1e308, 0.0), math.inf, math.inf),
         ((0, 1, 2, 3), (-1e308, -1e308, -1e308, 0.0), -math.inf, -math.inf),
         ((0, 1, 2, 3, 4), (1e308, 1e308, -1e308, 1.5, -1.7e308), 1e308, -1.7e308),
+        # the step itself overflows: 0 * inf is nan, 1e-300 * inf is inf
+        ((-1e308, 1e308), (1.0, 1.0), math.inf, math.inf),
+        ((-1e308, 1e308), (0.0, 0.0), 0.0, 0.0),
+        ((-1e308, 1e308), (-1.0, 2.0), -math.inf, math.inf),
+        ((-1e308, 1e308), (1e-300, -1e-300), 2e8, -2e8),
+        ((-1e308, 0, 1e308), (1e-300, 0.0, 0.0), 1e8, 0.0),
     ])
     def test_sums(self, points, values, delta, nabla):
         f = GridFunction(TimeScale.of_points(*points).discretize(1.0), values)
         a, b = points[0], points[-1]
-        steps = [q - p for p, q in zip(points, points[1:])]
-        assert delta_integral(f, a, b) == delta == self.exact(values[:-1], steps)
-        assert nabla_integral(f, a, b) == nabla == self.exact(values[1:], steps)
+        assert delta_integral(f, a, b) == delta == self.exact(values[:-1], points)
+        assert nabla_integral(f, a, b) == nabla == self.exact(values[1:], points)
 
     @given(st.lists(st.floats(-1.7e308, 1.7e308), min_size=2, max_size=12))
     @settings(max_examples=300, deadline=None)
@@ -165,9 +171,22 @@ class TestOverflowingSums:
         # overflow
         points = [2.0 * k for k in range(len(values))]
         f = GridFunction(TimeScale.of_points(*points).discretize(1.0), values)
-        steps = [2.0] * (len(values) - 1)
-        assert delta_integral(f, 0.0, points[-1]) == self.exact(values[:-1], steps)
-        assert nabla_integral(f, 0.0, points[-1]) == self.exact(values[1:], steps)
+        assert delta_integral(f, 0.0, points[-1]) == self.exact(values[:-1], points)
+        assert nabla_integral(f, 0.0, points[-1]) == self.exact(values[1:], points)
+
+    @given(st.lists(st.integers(-31, 31), min_size=2, max_size=10, unique=True),
+           st.lists(st.tuples(st.integers(-2**20, 2**20), st.integers(-60, 10)),
+                    min_size=10, max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_overflowing_steps(self, ks, mantissas):
+        # steps of k * 2^1019 overflow from k = 32 on; with values of at most
+        # 21 bits every product that does not overflow is exact
+        points = [k * 2.0**1019 for k in sorted(ks)]
+        values = [m * 2.0**e for m, e in mantissas[:len(points)]]
+        f = GridFunction(TimeScale.of_points(*points).discretize(1.0), values)
+        a, b = points[0], points[-1]
+        assert delta_integral(f, a, b) == self.exact(values[:-1], points)
+        assert nabla_integral(f, a, b) == self.exact(values[1:], points)
 
 
 class TestIdentities:

@@ -441,6 +441,10 @@ class TestOverflowingSums:
         ("int", "points 0 1 2 3", "1e308,1e308,1e308,0", "inf\n"),
         ("nint", "points 0 2 4", "1e308,-1e308,0", "-inf\n"),
         ("nint", "points 0 1 2 3", "1e308,1e308,-1e308,0", "0\n"),
+        # the step 2e308 overflows
+        ("int", "points -1e308 1e308", "1,1", "inf\n"),
+        ("int", "points -1e308 1e308", "0,0", "0\n"),
+        ("nint", "points -1e308 1e308", "0,0", "0\n"),
     ])
     def test_calc(self, tmp_path: Path, op, literal, values, out):
         fcsv = tmp_path / "f.csv"
