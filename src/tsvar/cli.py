@@ -185,9 +185,10 @@ def parse_problem_file(text: str, h_override: float | None = None) -> Problem:
 
 
 def _load_scale(arg: str) -> TimeScale:
-    """A scale argument is a file path or an inline literal (';' separates lines)."""
+    """A scale argument is a file path or an inline literal (';' separates lines).
+    Only a regular file is read: an empty argument is an empty literal."""
     path = Path(arg)
-    if path.exists():
+    if path.is_file():
         text = path.read_text(encoding="utf-8")
         if "[" in text:
             sections = _split_sections(text)
