@@ -67,11 +67,25 @@ def _fmt(x: float) -> str:
 
 # -- problem files ---------------------------------------------------------------
 
-_PROBLEM_KEYS = ("u", "L", "alpha", "beta", "h")
-_CONSTRAINT_KEYS = ("w", "G", "K")
+# each section's keys in the order their values are read, and how each value
+# is read: a finite number (float) or an expression (Lagrangian.from_text)
+_EXPR = Lagrangian.from_text
+_KEYS = {
+    "problem": {"u": float, "L": _EXPR, "alpha": float, "beta": float, "h": float},
+    "constraint": {"w": float, "G": _EXPR, "K": float},
+}
+_DEFAULTS = {"h": Problem.h}  # the keys that may be left out
+_NONZERO = {  # the numbers that must not be zero, and why
+    "u": "u = 0 makes the problem trivial: every admissible trajectory gives the "
+         "same value, so there is nothing to extremize",
+    "w": "w = 0 makes the constraint trivial",
+}
 
 
-def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
+def _read_sections(text: str, missing: dict[str, str]):
+    """The time scale of a sectioned text and its sections, as numbered
+    lines by name; a section named in missing must be there, or
+    InputFormatError says missing[name]."""
     sections: dict[str, list[tuple[int, str]]] = {}
     current: list[tuple[int, str]] | None = None
     for lineno, line in numbered_lines(text):
@@ -92,94 +106,72 @@ def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
             raise InputFormatError(
                 f"line {lineno}: content outside any section", line=lineno)
         current.append((lineno, line))
-    return sections
+    for name, message in missing.items():
+        if name not in sections:
+            raise InputFormatError(message)
+    return scale_from_lines(sections["timescale"], "[timescale] section is empty"), sections
 
 
-def _parse_keys(rows: list[tuple[int, str]], allowed: tuple[str, ...],
-                section: str) -> dict[str, tuple[int, str]]:
-    out: dict[str, tuple[int, str]] = {}
+def _read_keys(rows: list[tuple[int, str]], section: str, given: dict) -> list:
+    """The values of a section's `key = value` lines, in _KEYS order. A key
+    in given takes that value, and the value on its line is not read."""
+    kinds = _KEYS[section]
+    found: dict[str, tuple[int, str]] = {}
     for lineno, line in rows:
-        if "=" not in line:
+        key, eq, text = line.partition("=")
+        key = key.strip()
+        if not eq:
             raise InputFormatError(
                 f"line {lineno}: expected 'key = value' in [{section}]", line=lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in allowed:
+        if key not in kinds:
             raise InputFormatError(
                 f"line {lineno}: unknown key {key!r} in [{section}]", line=lineno)
-        if key in out:
+        if key in found:
             raise InputFormatError(
                 f"line {lineno}: duplicate key {key!r} in [{section}]", line=lineno)
-        out[key] = (lineno, value)
-    return out
+        found[key] = (lineno, text.strip())
+    values = []
+    for key, kind in kinds.items():
+        if key in given:
+            values.append(given[key])
+        elif key in found:
+            values.append(_read_value(key, kind, *found[key]))
+        elif key in _DEFAULTS:
+            values.append(_DEFAULTS[key])
+        else:
+            raise InputFormatError(f"missing key {key!r} in [{section}]")
+    return values
 
 
-def _need(keys: dict[str, tuple[int, str]], name: str, section: str) -> tuple[int, str]:
-    if name not in keys:
-        raise InputFormatError(f"missing key {name!r} in [{section}]")
-    return keys[name]
-
-
-def _parse_float(lineno: int, text: str, key: str) -> float:
+def _read_value(key: str, kind, lineno: int, text: str):
     try:
-        value = float(text)
-    except ValueError:
-        raise InputFormatError(
-            f"line {lineno}: value of {key!r} is not a number: {text!r}",
-            line=lineno) from None
-    if not math.isfinite(value):
-        raise InputFormatError(
-            f"line {lineno}: value of {key!r} is not a finite number: {text!r}",
-            line=lineno)
-    return value
-
-
-def _parse_expression(lineno: int, text: str, key: str) -> Lagrangian:
-    try:
-        return Lagrangian.from_text(text)
+        value = kind(text)
     except ExpressionError as exc:
         raise InputFormatError(f"line {lineno}: bad expression for {key!r}: {exc}",
                                line=lineno) from exc
+    except ValueError:
+        raise InputFormatError(f"line {lineno}: value of {key!r} is not a number: "
+                               f"{text!r}", line=lineno) from None
+    if kind is float and not math.isfinite(value):
+        raise InputFormatError(f"line {lineno}: value of {key!r} is not a finite "
+                               f"number: {text!r}", line=lineno)
+    if key in _NONZERO and value == 0:
+        raise InputFormatError(f"line {lineno}: {_NONZERO[key]}", line=lineno)
+    return value
 
 
 def parse_problem_file(text: str, h_override: float | None = None) -> Problem:
-    """Parse a problem file into a Problem or, with a [constraint], IsoProblem."""
-    sections = _split_sections(text)
-    if "timescale" not in sections:
-        raise InputFormatError("missing [timescale] section")
-    if "problem" not in sections:
-        raise InputFormatError("missing [problem] section")
-    scale = scale_from_lines(sections["timescale"], "[timescale] section is empty")
-    keys = _parse_keys(sections["problem"], _PROBLEM_KEYS, "problem")
-    lineno, raw_u = _need(keys, "u", "problem")
-    u = _parse_float(lineno, raw_u, "u")
-    if u == 0:
-        raise InputFormatError(
-            f"line {lineno}: u = 0 makes the problem trivial: every admissible "
-            "trajectory gives the same value, so there is nothing to extremize",
-            line=lineno)
-    lag = _parse_expression(*_need(keys, "L", "problem"), key="L")
-    alpha = _parse_float(*_need(keys, "alpha", "problem"), key="alpha")
-    beta = _parse_float(*_need(keys, "beta", "problem"), key="beta")
-    if h_override is not None:
-        h = h_override
-    else:
-        h = _parse_float(*keys["h"], key="h") if "h" in keys else Problem.h
+    """Parse a problem file into a Problem or, with a [constraint], IsoProblem.
+    With h_override, the file's h value is not read."""
+    scale, sections = _read_sections(text, {"timescale": "missing [timescale] section",
+                                            "problem": "missing [problem] section"})
+    given = {} if h_override is None else {"h": h_override}
+    u, lag, alpha, beta, h = _read_keys(sections["problem"], "problem", given)
     if not 0 < h < math.inf:
         raise InputFormatError(f"step h must be positive and finite, got {h!r}")
-
     if "constraint" not in sections:
         return Problem(scale=scale, u=u, L=lag, alpha=alpha, beta=beta, h=h)
-
-    ckeys = _parse_keys(sections["constraint"], _CONSTRAINT_KEYS, "constraint")
-    lineno, raw_w = _need(ckeys, "w", "constraint")
-    w = _parse_float(lineno, raw_w, "w")
-    if w == 0:
-        raise InputFormatError(
-            f"line {lineno}: w = 0 makes the constraint trivial", line=lineno)
-    g = _parse_expression(*_need(ckeys, "G", "constraint"), key="G")
-    k = _parse_float(*_need(ckeys, "K", "constraint"), key="K")
+    w, g, k = _read_keys(sections["constraint"], "constraint", {})
     return IsoProblem(scale=scale, u=u, L=lag, alpha=alpha, beta=beta, h=h,
                       G=g, w=w, K=k)
 
@@ -191,11 +183,8 @@ def _load_scale(arg: str) -> TimeScale:
     if path.is_file():
         text = path.read_text(encoding="utf-8")
         if "[" in text:
-            sections = _split_sections(text)
-            if "timescale" not in sections:
-                raise InputFormatError("file has sections but no [timescale]")
-            return scale_from_lines(sections["timescale"],
-                                    "[timescale] section is empty")
+            return _read_sections(
+                text, {"timescale": "file has sections but no [timescale]"})[0]
         return parse_timescale(text)
     return parse_timescale(arg)
 
