@@ -148,8 +148,12 @@ def _rectangle_sum(vals: np.ndarray, pts: np.ndarray) -> float:
             total = math.fsum((vals * np.diff(pts)).tolist())
         except (OverflowError, ValueError):  # an overflow on the way, or inf - inf
             total = math.inf
-    if math.isfinite(total):
-        return total
+    return total if math.isfinite(total) else exact_rectangle_sum(vals, pts)
+
+
+def exact_rectangle_sum(vals: np.ndarray, pts: np.ndarray) -> float:
+    """Sum of vals[i] * (pts[i+1] - pts[i]) for finite floats, summed exactly
+    and rounded once, so it is a signed inf only when the sum overflows."""
     # each float as an integer times 2^-k, one k for all; a step may
     # overflow as a float, so it is taken from the points
     ratios = [list(map(float.as_integer_ratio, arr.tolist())) for arr in (vals, pts)]

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import GridFunction
+from .calculus import GridFunction, exact_rectangle_sum
 from .errors import (
     BoundaryMismatchError,
     DegenerateScaleError,
@@ -133,7 +133,7 @@ class _Iterate:
     """
 
     def __init__(self, lag: Lagrangian, u: float, ts: np.ndarray, ys: np.ndarray):
-        self.lag, self.u = lag, u
+        self.lag, self.u, self.ts = lag, u, ts
         # per term: base points, scaled y slot, scaled v slot, step weights
         steps = ts[1:] - ts[:-1]
         with np.errstate(all="ignore"):  # a checked read reports what overflows
@@ -156,10 +156,15 @@ class _Iterate:
         return vals
 
     def functional(self, checked: bool = True) -> float:
-        # an overflow gives inf, as delta_integral reports it, and a sum of
-        # opposite overflows nan, which no convergence test accepts
+        # numpy's sum while it is finite, else the exact sum of finite values,
+        # so an overflow gives inf as delta_integral reports it; an unchecked
+        # non-finite value gives inf or nan, which no convergence test accepts
+        vals = self.values("L", checked)
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.u * float(np.sum(self.values("L", checked) * self.args[3]))
+            total = float(np.sum(vals * self.args[3]))
+            if not math.isfinite(total) and np.isfinite(vals).all():
+                total = exact_rectangle_sum(vals, self.ts)
+            return self.u * total
 
     def grad(self, checked: bool = True) -> np.ndarray:
         """Gradient of the discretized functional with respect to interior
@@ -167,9 +172,10 @@ class _Iterate:
         p2 = self.values("dL_dy", checked)
         p3 = self.values("dL_dv", checked)
         u, wts = self.u, self.args[3]
-        if u > 0:
-            return u * u * (wts[:-1] * p2[:-1] + p3[:-1] - p3[1:])
-        return u * u * (wts[1:] * p2[1:] - p3[1:] + p3[:-1])
+        with np.errstate(all="ignore"):  # the Newton step's check reports it
+            if u > 0:
+                return u * u * (wts[:-1] * p2[:-1] + p3[:-1] - p3[1:])
+            return u * u * (wts[1:] * p2[1:] - p3[1:] + p3[:-1])
 
     def hess(self) -> tuple[np.ndarray, np.ndarray]:
         """Tridiagonal Hessian of the discretized functional as its two
@@ -179,13 +185,14 @@ class _Iterate:
         A, B, C = (raise_if_singular(evaluate_array(e, tA, Y, V), tA, Y, V)
                    for e in self.lag.second_partials)
         u3 = self.u ** 3
-        cw = C / wts
-        if self.u > 0:
-            diag = u3 * (wts[:-1] * A[:-1] + 2.0 * B[:-1] + cw[:-1] + cw[1:])
-            off = -u3 * (B[1:-1] + cw[1:-1])
-        else:
-            diag = u3 * (wts[1:] * A[1:] - 2.0 * B[1:] + cw[1:] + cw[:-1])
-            off = u3 * (B[1:-1] - cw[1:-1])
+        with np.errstate(all="ignore"):  # the Newton step's check reports it
+            cw = C / wts
+            if self.u > 0:
+                diag = u3 * (wts[:-1] * A[:-1] + 2.0 * B[:-1] + cw[:-1] + cw[1:])
+                off = -u3 * (B[1:-1] + cw[1:-1])
+            else:
+                diag = u3 * (wts[1:] * A[1:] - 2.0 * B[1:] + cw[1:] + cw[:-1])
+                off = u3 * (B[1:-1] - cw[1:-1])
         return diag, off
 
     def residual(self) -> np.ndarray:
@@ -194,9 +201,10 @@ class _Iterate:
         p2 = self.values("dL_dy")
         g = self.values("dL_dv")
         u, wts = self.u, self.args[3]
-        if u > 0:
-            return u * ((g[1:] - g[:-1]) / wts[:-1] - p2[:-1])
-        return u * ((g[1:] - g[:-1]) / wts[1:] - p2[1:])
+        with np.errstate(all="ignore"):  # an overflow reads as inf
+            if u > 0:
+                return u * ((g[1:] - g[:-1]) / wts[:-1] - p2[:-1])
+            return u * ((g[1:] - g[:-1]) / wts[1:] - p2[1:])
 
 
 _SINGULAR = "Newton matrix is singular at the current iterate"
@@ -590,13 +598,19 @@ def _backtrack(trial, phi: np.ndarray, tol: float, ys: np.ndarray):
     first accepted pair is returned. A stalled search raises
     IterationLimitError carrying ys, the iterate it started from.
     """
-    phi0 = 0.5 * float(phi @ phi)
+    # the merits are scaled by 4^-e, with 2^e about max |phi|, so phi0 does
+    # not overflow; a power of two scales exactly, which keeps every
+    # comparison that neither overflows nor underflows unscaled
+    e = -math.frexp(float(np.max(np.abs(phi))))[1]
+    scaled = np.ldexp(phi, e)
+    phi0 = 0.5 * float(scaled @ scaled)
     alpha = 1.0
     while alpha >= 1e-12:
         # a trial is unchecked and may overflow; a non-finite one is rejected
         with np.errstate(all="ignore"):
             point, phit = trial(alpha)
-            phi1 = 0.5 * float(phit @ phit)
+            scaled = np.ldexp(phit, e)
+            phi1 = 0.5 * float(scaled @ scaled)
         if np.all(np.isfinite(phit)):
             if phi1 <= phi0 * (1.0 - 1e-4 * alpha) or float(np.max(np.abs(phit))) <= tol:
                 return point, phit
@@ -704,7 +718,8 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
         at_l, at_g = _Iterate(iso.L, u, ts, z), _Iterate(iso.G, w, ts, z)
         gl, gg = at_l.grad(checked), at_g.grad(checked)
         cons = at_g.functional(checked) - iso.K
-        return (at_l, at_g, gg), np.concatenate([gl - lam * gg, [cons]])
+        with np.errstate(all="ignore"):  # the Newton step's check reports it
+            return (at_l, at_g, gg), np.concatenate([gl - lam * gg, [cons]])
 
     def step(record, phi: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
         at_l, at_g, gg = record

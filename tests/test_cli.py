@@ -115,8 +115,8 @@ class TestSolve:
         assert cp.stderr.startswith("error: no convergence after 100 Newton steps")
 
     def test_nan_constraint_value_exits_3(self, tmp_path: Path):
-        # the constraint's terms overflow to inf of both signs, so its value
-        # is nan, which does not pass as converged
+        # the constraint's terms overflow to inf of both signs; its value is
+        # their exact sum, which no trajectory moves off 3.636e+304
         prob = tmp_path / "nan.prob"
         prob.write_text(ISO.replace("interval 0 1", "interval 0 8")
                         .replace("beta = 0", "beta = 1\nh = 0.5")
@@ -125,7 +125,17 @@ class TestSolve:
         cp = run_cli("solve", str(prob))
         assert cp.returncode == 3
         assert cp.stdout == ""
-        assert cp.stderr == "error: line search stalled before reaching the tolerance\n"
+        assert cp.stderr == ("error: constraint value is insensitive to the trajectory "
+                             "but misses its target by 3.636e+304\n")
+        # the constraint's gradient overflows, so lam * gg is 0 * inf at the
+        # start and the system's norm is nan, which does not pass as converged
+        prob.write_text(ISO.replace("interval 0 1", "interval 0 8")
+                        .replace("beta = 0", "beta = 1\nh = 2")
+                        .replace("G = y", "G = 1.7e308*y")
+                        .replace("K = 0.16666666666666666", "K = 0"))
+        cp = run_cli("solve", str(prob))
+        assert (cp.returncode, cp.stdout) == (3, "")
+        assert cp.stderr == "error: Newton step is not finite\n"
 
     def test_overflowing_functional_is_inf(self, tmp_path: Path, capsys):
         # in process, where the test settings make a leaked warning an error
@@ -452,6 +462,64 @@ class TestOverflowingSums:
             f"{t},{v}\n" for t, v in zip(literal.split()[1:], values.split(","))))
         cp = run_cli("calc", op, literal, "--f", str(fcsv))
         assert (cp.returncode, cp.stdout, cp.stderr) == (0, out, "")
+
+
+class TestQuietOverflow:
+    """Overflows inside a solve or a residual write no numpy warning: stderr
+    holds the error line or nothing. Run in process, where the test settings
+    make a leaked warning an error."""
+
+    def run(self, tmp_path: Path, capsys, text: str, *extra: str):
+        from tsvar import cli
+
+        prob = tmp_path / "p.prob"
+        prob.write_text(text)
+        code = cli.main(["residual" if "--y" in extra else "solve", str(prob), *extra])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def problem(self, interval: str, lag: str, beta: str, h: str) -> str:
+        return (CLASSIC.replace("interval 0 1", interval).replace("L = v^2", f"L = {lag}")
+                .replace("beta = 1", f"beta = {beta}").replace("h = 1e-3", f"h = {h}"))
+
+    def test_huge_merit_converges(self, tmp_path: Path, capsys):
+        text = self.problem("interval 0 1", "v^2 + 1e200*y^2", "1", "0.25")
+        code, out, err = self.run(tmp_path, capsys, text, "--out", str(tmp_path / "y.csv"))
+        assert (code, err) == (0, "")
+        assert out == ("functional_value = 2.4999999999999999e+199\n"
+                       "residual_max = 0\niterations = 2\n")
+
+    def test_overflowing_terms_give_the_exact_functional(self, tmp_path: Path, capsys):
+        text = self.problem("interval 0 8", "1.7e308*cos(1.2566*t) + v^2", "1", "0.5")
+        code, out, err = self.run(tmp_path, capsys, text, "--out", str(tmp_path / "y.csv"))
+        assert (code, err) == (0, "")
+        assert out == ("functional_value = 3.6360487177047214e+304\n"
+                       "residual_max = 0\niterations = 0\n")
+
+    @pytest.mark.parametrize("scale, lag, beta, h, constraint, message", [
+        ("interval 0 8", "1.7e308*y + v^2", "1", "2", "", "Newton step is not finite"),
+        ("interval 0 8", "v^2", "1", "2", "G = 1.7e308*y\nK = 0",
+         "Newton step is not finite"),
+        ("interval 0 1", "v^2", "0", "0.25", "G = exp(y)\nK = 1e300",
+         "line search stalled before reaching the tolerance"),
+    ])
+    def test_overflowing_newton_exits_3(self, tmp_path: Path, capsys, scale, lag, beta,
+                                        h, constraint, message):
+        text = self.problem(scale, lag, beta, h)
+        if constraint:
+            text += f"\n[constraint]\nw = 1\n{constraint}\n"
+        assert self.run(tmp_path, capsys, text) == (3, "", f"error: {message}\n")
+
+    def test_overflowing_residual_is_inf(self, tmp_path: Path, capsys):
+        import math
+
+        traj = tmp_path / "y.csv"
+        values = (0.0, math.pi / 8, 0.0, math.pi / 8, 0.0)
+        traj.write_text("t,value\n" + "".join(
+            f"{t!r},{y!r}\n" for t, y in zip((0.0, 0.25, 0.5, 0.75, 1.0), values)))
+        text = self.problem("interval 0 1", "1.7e308*cos(v)", "1", "0.25")
+        assert self.run(tmp_path, capsys, text, "--y", str(traj)) == (
+            0, "t,residual\n0,\n0.25,\n0.5,inf\n0.75,\n1,\n", "")
 
 
 class TestInfiniteTolerances:

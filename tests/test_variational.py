@@ -137,6 +137,30 @@ class TestFunctionalValue:
         assert verify(p, y, 1e-8).functional_value == np.inf
 
 
+    @pytest.mark.parametrize("u", [1.0, -1.0])
+    def test_overflowing_terms_sum_exactly(self, u):
+        # the terms overflow to inf of both signs; the value is their exact
+        # sum, rounded once, as delta_integral gives it
+        from fractions import Fraction
+
+        from tsvar.lagrangian import evaluate_array
+
+        p = classical(u=u, L=Lagrangian.from_text("1.7e308*cos(1.2566*t) + v^2"),
+                      h=0.5, scale=TimeScale.interval(0.0, 8.0))
+        y = trajectory(p, lambda t: t / 8.0)
+        ts, ys = y.grid.points, y.values
+        slopes = np.diff(ys) / np.diff(ts)
+        at, ys_at = (ts[:-1], ys[1:]) if u > 0 else (ts[1:], ys[:-1])
+        vals = evaluate_array(p.L.L, at, u * ys_at, u * slopes)
+        exact = sum(Fraction(v) * (Fraction(b) - Fraction(a))
+                    for v, a, b in zip(vals.tolist(), ts.tolist(), ts[1:].tolist()))
+        assert functional_value(p, y) == u * float(exact)
+        assert np.isfinite(functional_value(p, y))
+        if u > 0:
+            assert functional_value(p, y) == 3.6360487177047214e+304
+            assert solve(p).functional_value == 3.6360487177047214e+304
+
+
 class TestResidual:
     def test_extremal_has_zero_residual(self):
         p = classical(h=0.02)
@@ -997,13 +1021,22 @@ class TestSolveIso:
             solve_iso(iso)
 
     def test_nan_system_value_does_not_converge(self):
-        # the constraint's terms overflow to inf of both signs, so its value
-        # and the system's norm are nan, which must not pass as converged
+        # the constraint's terms overflow to inf of both signs; its value is
+        # their exact sum, which no trajectory moves off 3.636e+304
         iso = IsoProblem(scale=TimeScale.interval(0.0, 8.0), u=1.0, L=V2,
                          alpha=0.0, beta=1.0, h=0.5,
                          G=Lagrangian.from_text("1.7e308*cos(1.2566*t) + v^2"),
                          w=1.0, K=0.0)
-        with pytest.raises(IterationLimitError, match="line search stalled"):
+        with pytest.raises(InfeasibleConstraintError,
+                           match=r"^constraint value is insensitive to the trajectory "
+                                 r"but misses its target by 3\.636e\+304$"):
+            solve_iso(iso)
+        # the constraint's gradient overflows, so lam * gg is 0 * inf at the
+        # start and the system's norm is nan, which must not pass as converged
+        iso = IsoProblem(scale=TimeScale.interval(0.0, 8.0), u=1.0, L=V2,
+                         alpha=0.0, beta=1.0, h=2.0,
+                         G=Lagrangian.from_text("1.7e308*y"), w=1.0, K=0.0)
+        with pytest.raises(SingularSystemError, match="^Newton step is not finite$"):
             solve_iso(iso)
 
     def test_nabla_pair(self):
@@ -1296,3 +1329,59 @@ class TestFiniteTolerance:
             solve(p, tol=tol)
         with pytest.raises(ParameterError, match=message):
             solve_iso(iso, tol=tol)
+
+
+class TestQuietOverflow:
+    """Newton iterations and residuals whose arithmetic overflows write no
+    numpy warning, which the test settings make an error. The line search
+    scales its merit by a power of two; every other overflow reaches the
+    Newton step's check, or reads as inf."""
+
+    def test_merit_is_scaled_exactly(self, monkeypatch):
+        # 2^600 * L has exactly 2^600 times the gradient and the Hessian, so
+        # with tol scaled alike the iteration, backtracking included, is the
+        # same bit for bit; unscaled, its merit 0.5 * |g|^2 overflows
+        from tsvar import variational
+
+        alphas = []
+        real = variational._moved
+
+        def spy(ys, step, alpha):
+            alphas.append(alpha)
+            return real(ys, step, alpha)
+
+        monkeypatch.setattr(variational, "_moved", spy)
+
+        def run(k):
+            p = classical(L=Lagrangian.from_text(f"2^{k}*(log(2 + v^2) + y^2/2)"), h=0.1)
+            return solve(p, tol=2.0 ** k * 1e-10)
+
+        small = run(0)
+        assert min(alphas) < 1.0
+        huge = run(600)
+        assert huge.iterations == small.iterations == 8
+        assert huge.y.values.tobytes() == small.y.values.tobytes()
+
+    def test_huge_merit(self):
+        p = classical(L=Lagrangian.from_text("v^2 + 1e200*y^2"), h=0.25)
+        sol = solve(p)
+        assert (sol.iterations, sol.residual_max) == (2, 0.0)
+        assert sol.functional_value == 2.4999999999999999e+199
+
+    def test_huge_constraint_merit_stalls(self):
+        iso = IsoProblem(scale=UNIT, u=1.0, L=V2, alpha=0.0, beta=0.0, h=0.25,
+                         G=Lagrangian.from_text("exp(y)"), w=1.0, K=1e300)
+        with pytest.raises(IterationLimitError, match="^line search stalled"):
+            solve_iso(iso)
+
+    def test_overflowing_gradient(self):
+        p = classical(L=Lagrangian.from_text("1.7e308*y + v^2"), h=2.0,
+                      scale=TimeScale.interval(0.0, 8.0))
+        with pytest.raises(SingularSystemError, match="^Newton step is not finite$"):
+            solve(p)
+
+    def test_overflowing_residual_is_inf(self):
+        p = classical(L=Lagrangian.from_text("1.7e308*cos(v)"), h=0.25)
+        y = GridFunction(p.discretized(), (0.0, np.pi / 8, 0.0, np.pi / 8, 0.0))
+        assert residual_column(p, y, enforce_boundaries=False) == [
+            None, None, np.inf, None, None]
