@@ -69,10 +69,10 @@ def _fmt(x: float) -> str:
 
 # each section's keys in the order their values are read, and how each value
 # is read: a finite number (float) or an expression (Lagrangian.from_text)
-_EXPR = Lagrangian.from_text
 _KEYS = {
-    "problem": {"u": float, "L": _EXPR, "alpha": float, "beta": float, "h": float},
-    "constraint": {"w": float, "G": _EXPR, "K": float},
+    "problem": {"u": float, "L": Lagrangian.from_text, "alpha": float, "beta": float,
+                "h": float},
+    "constraint": {"w": float, "G": Lagrangian.from_text, "K": float},
 }
 _DEFAULTS = {"h": Problem.h}  # the keys that may be left out
 _NONZERO = {  # the numbers that must not be zero, and why
@@ -82,7 +82,7 @@ _NONZERO = {  # the numbers that must not be zero, and why
 }
 
 
-def _read_sections(text: str, missing: dict[str, str]):
+def _read_sections(text: str, missing: dict[str, str]) -> tuple[TimeScale, dict]:
     """The time scale of a sectioned text and its sections, as numbered
     lines by name; a section named in missing must be there, or
     InputFormatError says missing[name]."""
