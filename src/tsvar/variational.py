@@ -134,14 +134,22 @@ class _Iterate:
 
     def __init__(self, lag: Lagrangian, u: float, ts: np.ndarray, ys: np.ndarray):
         self.lag, self.u, self.ts = lag, u, ts
+        # the direction rule, decided once: for u > 0 (delta) a step's base
+        # point is its left end and y is read at its right end; u < 0 (nabla)
+        # swaps both ends, and the signs of the terms that tie y to its steps
+        if u > 0:
+            self._base, self._shift = slice(None, -1), slice(1, None)
+            self._plus, self._minus = np.add, np.subtract
+            self.kept, self._inner = slice(None, -2), slice(2, None)
+        else:
+            self._base, self._shift = slice(1, None), slice(None, -1)
+            self._plus, self._minus = np.subtract, np.add
+            self.kept, self._inner = slice(2, None), slice(None, -2)
         # per term: base points, scaled y slot, scaled v slot, step weights
         steps = ts[1:] - ts[:-1]
         with np.errstate(all="ignore"):  # a checked read reports what overflows
             slopes = (ys[1:] - ys[:-1]) / steps
-            if u > 0:
-                self.args = ts[:-1], u * ys[1:], u * slopes, steps
-            else:
-                self.args = ts[1:], u * ys[:-1], u * slopes, steps
+            self.args = ts[self._base], u * ys[self._shift], u * slopes, steps
         self._values: dict[str, np.ndarray] = {}  # by name: "L", "dL_dy", "dL_dv"
         self._checked: set[str] = set()
 
@@ -171,11 +179,9 @@ class _Iterate:
         values."""
         p2 = self.values("dL_dy", checked)
         p3 = self.values("dL_dv", checked)
-        u, wts = self.u, self.args[3]
+        u, wts, own, other = self.u, self.args[3], self._base, self._shift
         with np.errstate(all="ignore"):  # the Newton step's check reports it
-            if u > 0:
-                return u * u * (wts[:-1] * p2[:-1] + p3[:-1] - p3[1:])
-            return u * u * (wts[1:] * p2[1:] - p3[1:] + p3[:-1])
+            return u * u * self._minus(self._plus(wts[own] * p2[own], p3[own]), p3[other])
 
     def hess(self) -> tuple[np.ndarray, np.ndarray]:
         """Tridiagonal Hessian of the discretized functional as its two
@@ -184,27 +190,28 @@ class _Iterate:
         tA, Y, V, wts = self.args
         A, B, C = (raise_if_singular(evaluate_array(e, tA, Y, V), tA, Y, V)
                    for e in self.lag.second_partials)
-        u3 = self.u ** 3
+        own, other = self._base, self._shift
         with np.errstate(all="ignore"):  # the Newton step's check reports it
             cw = C / wts
-            if self.u > 0:
-                diag = u3 * (wts[:-1] * A[:-1] + 2.0 * B[:-1] + cw[:-1] + cw[1:])
-                off = -u3 * (B[1:-1] + cw[1:-1])
-            else:
-                diag = u3 * (wts[1:] * A[1:] - 2.0 * B[1:] + cw[1:] + cw[:-1])
-                off = u3 * (B[1:-1] - cw[1:-1])
+            diag = self.u ** 3 * (self._plus(wts[own] * A[own], 2.0 * B[own])
+                                  + cw[own] + cw[other])
+            # -|u|^3 is u^3 for u < 0, exactly: an odd power's sign is exact
+            off = -abs(self.u) ** 3 * self._plus(B[1:-1], cw[1:-1])
         return diag, off
 
     def residual(self) -> np.ndarray:
         """Stationarity residual at every point where the shifted indices
-        exist: grid indices 0..N-2 for u > 0, and 2..N for u < 0."""
+        exist, the grid points `kept`: indices 0..N-3 for u > 0, and 2..N-1
+        for u < 0."""
         p2 = self.values("dL_dy")
         g = self.values("dL_dv")
-        u, wts = self.u, self.args[3]
         with np.errstate(all="ignore"):  # an overflow reads as inf
-            if u > 0:
-                return u * ((g[1:] - g[:-1]) / wts[:-1] - p2[:-1])
-            return u * ((g[1:] - g[:-1]) / wts[1:] - p2[1:])
+            return self.u * ((g[1:] - g[:-1]) / self.args[3][self._base] - p2[self._base])
+
+    def interior(self) -> np.ndarray:
+        """The residual on the doubly truncated interior, grid indices
+        2..N-3."""
+        return self.residual()[self._inner]
 
 
 _SINGULAR = "Newton matrix is singular at the current iterate"
@@ -378,13 +385,6 @@ def _solve_pivoting(diag: np.ndarray, off: np.ndarray,
     return out
 
 
-def _interior(u: float, values: np.ndarray) -> np.ndarray:
-    """The part of a residual on the doubly truncated interior, grid indices
-    2..N-3."""
-    # values are aligned to grid index 0 for u > 0 and to grid index 2 for u < 0
-    return values[2:] if u > 0 else values[:-2]
-
-
 def _interior_residual(problem: Problem, at: _Iterate, y: GridFunction,
                        lam0: float | None, lam: float | None) -> np.ndarray:
     """Residual on the doubly truncated interior of the trajectory y, with
@@ -396,11 +396,11 @@ def _interior_residual(problem: Problem, at: _Iterate, y: GridFunction,
         raise ParameterError(
             "give both multipliers lam0 and lam, or neither: "
             f"got lam0={lam0!r}, lam={lam!r}")
-    res = _interior(problem.u, at.residual())
+    res = at.interior()
     if lam is None:
         return res
     ts = problem.discretized().points
-    res_g = _interior(problem.w, _Iterate(problem.G, problem.w, ts, y.values).residual())
+    res_g = _Iterate(problem.G, problem.w, ts, y.values).interior()
     return lam0 * res - lam * res_g
 
 
@@ -443,7 +443,7 @@ def el_residual(problem: Problem, y: GridFunction) -> GridFunction:
     at, grid = _opened(problem, y), problem.discretized()
     if len(grid.points) < 3:
         raise DegenerateScaleError("the residual needs at least three grid points")
-    kept = slice(None, -2) if problem.u > 0 else slice(2, None)
+    kept = at.kept
     return GridFunction(SampleGrid(grid.points[kept], grid.dense_flags[kept]), at.residual())
 
 
@@ -575,7 +575,7 @@ def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution
 
     grid, ys, _, at, iterations = _newton(problem, tol, max_iter, system, step,
                                           "stationarity")
-    res = _interior(u, at.residual())
+    res = at.interior()
     return Solution(
         y=GridFunction(grid, ys),
         functional_value=at.functional(),
@@ -738,14 +738,14 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
 
     grid, ys, lam_g, (at_l, at_g, _), iterations = _newton(
         iso, tol, max_iter, system, step, "system", stalled)
-    res_g = _interior(w, at_g.residual())
+    res_g = at_g.interior()
     if _interior_max(res_g) <= tol:
         lam0, lam_out, normal = 0.0, 1.0, False
     else:
         # the augmented system solves in gradient scaling; convert to the
         # residual convention, which differs by the factor w/u
         lam0, lam_out, normal = 1.0, lam_g * w / u, True
-    res = lam0 * _interior(u, at_l.residual()) - lam_out * res_g
+    res = lam0 * at_l.interior() - lam_out * res_g
     return Solution(
         y=GridFunction(grid, ys),
         functional_value=at_l.functional(),

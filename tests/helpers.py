@@ -217,7 +217,7 @@ def reference_solve(problem, tol: float = 1e-10, max_iter: int = 100):
     record."""
     from tsvar import GridFunction, Solution
     from tsvar.variational import (
-        _affine_start, _backtrack, _interior, _interior_max, _Iterate, _moved,
+        _affine_start, _backtrack, _interior_max, _Iterate, _moved,
         _prepared_grid, _solve_tridiagonal)
 
     grid, ts = _prepared_grid(problem)
@@ -236,7 +236,7 @@ def reference_solve(problem, tol: float = 1e-10, max_iter: int = 100):
         assert np.all(np.isfinite(step))
         ys, g = _backtrack(trial, g, tol, ys)
         iterations += 1
-    res = _interior(u, _Iterate(lag, u, ts, ys).residual())
+    res = _Iterate(lag, u, ts, ys).interior()
     return Solution(
         y=GridFunction(grid, ys),
         functional_value=_Iterate(lag, u, ts, ys).functional(),
@@ -249,7 +249,7 @@ def reference_solve_iso(iso, tol: float = 1e-10, max_iter: int = 100):
     """solve_iso with one call per figure, as reference_solve."""
     from tsvar import GridFunction, Solution
     from tsvar.variational import (
-        _affine_start, _backtrack, _bordered_step, _interior, _interior_max,
+        _affine_start, _backtrack, _bordered_step, _interior_max,
         _Iterate, _moved, _prepared_grid)
 
     grid, ts = _prepared_grid(iso)
@@ -280,13 +280,13 @@ def reference_solve_iso(iso, tol: float = 1e-10, max_iter: int = 100):
         assert np.all(np.isfinite(step)) and math.isfinite(dlam)
         (ys, lam_g), phi = _backtrack(trial, phi, tol, ys)
         iterations += 1
-    res_g = _interior(w, _Iterate(iso.G, w, ts, ys).residual())
+    res_g = _Iterate(iso.G, w, ts, ys).interior()
     if _interior_max(res_g) <= tol:
         lam0, lam_out, normal = 0.0, 1.0, False
     else:
         lam0, lam_out, normal = 1.0, lam_g * w / u, True
-    res = (lam0 * _interior(u, _Iterate(iso.L, u, ts, ys).residual())
-           - lam_out * _interior(w, _Iterate(iso.G, w, ts, ys).residual()))
+    res = (lam0 * _Iterate(iso.L, u, ts, ys).interior()
+           - lam_out * _Iterate(iso.G, w, ts, ys).interior())
     return Solution(
         y=GridFunction(grid, ys),
         functional_value=_Iterate(iso.L, u, ts, ys).functional(),

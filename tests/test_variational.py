@@ -772,21 +772,22 @@ class TestIterateReuse:
     def test_public_checks_are_bitwise_fresh_records(self):
         # verify, functional_value, el_residual and residual_column read one
         # record per integrand; a fresh record per figure is the reference
-        from tsvar.variational import _interior, _Iterate
+        from tsvar.variational import _Iterate
 
         for p in self.problems(h=1 / 300) + self.iso_problems(h=1 / 300):
             iso = isinstance(p, IsoProblem)
             y = solve_iso(p).y if iso else solve(p).y
             ts, ys = y.grid.points, y.values
-            res = _Iterate(p.L, p.u, ts, ys).residual()
+            r = _Iterate(p.L, p.u, ts, ys)
+            res = r.residual()
             value = _Iterate(p.L, p.u, ts, ys).functional()
             assert functional_value(p, y) == value
             assert np.array_equal(el_residual(p, y).values, res)
-            cases = [((), _interior(p.u, res))]
+            cases = [((), r.interior())]
             if iso:
-                res_g = _Iterate(p.G, p.w, ts, ys).residual()
-                cases.append(((0.5, 1.25), 0.5 * _interior(p.u, res)
-                              - 1.25 * _interior(p.w, res_g)))
+                r_g = _Iterate(p.G, p.w, ts, ys)
+                cases.append(((0.5, 1.25), 0.5 * r.interior()
+                              - 1.25 * r_g.interior()))
             for lams, want in cases:
                 assert residual_column(p, y, *lams)[2:-2] == want.tolist()
                 report = verify(p, y, 1e-8, *lams)
