@@ -270,11 +270,9 @@ def _cmd_epideriv(ns: argparse.Namespace) -> int:
     fbar = extend(f)
     closed = epiderivative_closed(fbar, ns.t, ns.u)
     h0, kmax = liminf_params(fbar, ns.t, ns.u, h0=ns.h0)
-    if ns.kmax is not None:
-        kmax = ns.kmax
-    estimate = epiderivative_liminf(fbar, ns.t, ns.u, h0, kmax)
-    sys.stdout.write("closed,liminf\n")
-    sys.stdout.write(f"{_fmt(closed)},{_fmt(estimate)}\n")
+    estimate = epiderivative_liminf(fbar, ns.t, ns.u, h0,
+                                    kmax if ns.kmax is None else ns.kmax)
+    sys.stdout.write(f"closed,liminf\n{_fmt(closed)},{_fmt(estimate)}\n")
     return 0
 
 
@@ -287,12 +285,10 @@ def _cmd_calc(ns: argparse.Namespace) -> int:
         with _csv_out(ns.out) as fh:
             write_grid_csv(result, fh)
         return 0
-    lo, hi = f.grid.a, f.grid.b
-    if ns.op == "int":
-        value = delta_integral(f, lo, hi)
-    else:
-        value = nabla_integral(f, lo, hi)
-    sys.stdout.write(f"{_fmt(value)}\n")
+    integral = delta_integral if ns.op == "int" else nabla_integral
+    value = integral(f, f.grid.a, f.grid.b)
+    with _csv_out(ns.out) as fh:
+        fh.write(f"{_fmt(value)}\n")
     return 0
 
 

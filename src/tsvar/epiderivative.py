@@ -124,8 +124,9 @@ def epiderivative_liminf(fbar: PLFunction, t: float, u: float,
     piecewise-linear function the quotient is exact once h_k |u| is smaller
     than the distance from t to the nearest breakpoint in the direction of
     u, so the halving stops there: smaller steps only lose digits to the
-    float resolution of f(t), and eventually divide by a zero step. Reports
-    +inf when every step leaves the domain.
+    float resolution of f(t). A step that does not move t ends the halving,
+    and raises ParameterError when no step before it stayed in [a, b].
+    Reports +inf when the direction leaves [a, b] at once or every step does.
     """
     require_finite(("direction u", u))
     if not 0 < h0 < math.inf:
@@ -135,22 +136,25 @@ def epiderivative_liminf(fbar: PLFunction, t: float, u: float,
     fbar._check_domain(t)
     if u == 0:
         return 0.0
-    ft = fbar.eval(t)
     gap = _first_piece_gap(fbar, t, u)
+    if gap == 0.0:
+        return math.inf
+    ft = fbar.eval(t)
     quotient: float | None = None
     for k in range(k_max + 1):
         h = h0 * 2.0 ** (-k)
-        if h == 0.0:
-            break
         s = t + h * u
+        if s == t:  # also once h underflows to 0
+            if quotient is None:
+                raise ParameterError(f"h0 = {h0!r} gives no step that moves t = {t!r} in the "
+                                     f"direction u = {u!r} within [{fbar.a!r}, {fbar.b!r}]")
+            break
         if s < fbar.a or s > fbar.b:
             continue
         quotient = (fbar.eval(s) - ft) / h
         if h * abs(u) < gap:
             break
-    if quotient is None:
-        return math.inf
-    return quotient
+    return math.inf if quotient is None else quotient
 
 
 def _first_piece_gap(fbar: PLFunction, t: float, u: float) -> float:
@@ -167,10 +171,10 @@ def liminf_params(fbar: PLFunction, t: float, u: float,
                   h0: float | None = None) -> tuple[float, int]:
     """Step parameters (h0, k_max) that make the final quotient exact.
 
-    h0 defaults to just under the largest admissible step; k_max shrinks it
-    until the step clears the nearest breakpoint in the direction of u.
-    When no step is admissible the estimator will report +inf regardless,
-    and (1.0, 0) is returned.
+    h0 defaults to just under the largest admissible step, or the largest
+    float when a tiny u makes that overflow; k_max shrinks it until the step
+    clears the nearest breakpoint in the direction of u. When no step is
+    admissible the estimator will report +inf regardless, and (1.0, 0) is returned.
     """
     require_finite(("direction u", u))
     fbar._check_domain(t)
@@ -178,7 +182,7 @@ def liminf_params(fbar: PLFunction, t: float, u: float,
     if u == 0 or span <= 0:
         return (h0 if h0 is not None else 1.0), 0
     if h0 is None:
-        h0 = 0.9 * span / abs(u)
+        h0 = min(0.9 * span / abs(u), math.nextafter(math.inf, 0.0))
     gap = _first_piece_gap(fbar, t, u)
     k = 0
     while h0 * 2.0 ** (-k) * abs(u) >= gap and k < 200:

@@ -329,6 +329,37 @@ class TestEpideriv:
         assert liminf == pytest.approx(3.0, abs=1e-12)
 
 
+class TestEpiderivSteps:
+    """In process: a step that does not move t, a direction that leaves the
+    domain at once, and directions too small for a finite default h0, on
+    samples 0, 1, 4 at points 0 1 2."""
+
+    def run(self, tmp_path: Path, capsys, *args: str):
+        from tsvar import cli
+
+        fcsv = tmp_path / "f.csv"
+        fcsv.write_text("t,value\n0,0\n1,1\n2,4\n")
+        code = cli.main(["epideriv", "points 0 1 2", "--f", str(fcsv), *args])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_step_that_does_not_move_t_exits_2(self, tmp_path: Path, capsys):
+        assert self.run(tmp_path, capsys, "--t", "1", "--u", "1", "--h0", "1e-17") == (
+            2, "", "error: h0 = 1e-17 gives no step that moves t = 1.0 in the "
+                   "direction u = 1.0 within [0.0, 2.0]\n")
+
+    def test_direction_that_leaves_at_once_prints_inf(self, tmp_path: Path, capsys):
+        assert self.run(tmp_path, capsys, "--t", "2", "--u", "1", "--h0", "1e-320") == (
+            0, "closed,liminf\ninf,inf\n", "")
+
+    @pytest.mark.parametrize("t, u", [("0.5", "1e-310"), ("1", "-1e-320")])
+    def test_tiny_direction_has_a_finite_default_h0(self, tmp_path: Path, capsys, t, u):
+        code, out, err = self.run(tmp_path, capsys, "--t", t, "--u", u)
+        assert (code, err) == (0, "")
+        closed, liminf = (float(x) for x in out.splitlines()[1].split(","))
+        assert abs(liminf - closed) <= 1e-6 * max(1.0, abs(closed))
+
+
 class TestCalc:
     def test_delta_derivative_of_square(self, tmp_path: Path):
         fcsv = tmp_path / "f.csv"
@@ -393,6 +424,14 @@ class TestOutFile:
         ycsv.write_text("t,value\n0,0\n0.25,0.0625\n0.5,0.25\n0.75,0.5625\n1,1\n")
         cp, _ = self._same_csv(tmp_path, "residual", str(prob), "--y", str(ycsv))
         assert cp.stdout == ""
+
+    @pytest.mark.parametrize("op", ["int", "nint"])
+    def test_calc_integrals(self, tmp_path: Path, op: str):
+        fcsv = tmp_path / "s.csv"
+        fcsv.write_text("t,value\n0,1\n1,2\n2,3\n")
+        cp, plain = self._same_csv(tmp_path, "calc", op, "points 0 1 2", "--f", str(fcsv))
+        assert cp.stdout == ""
+        assert plain.stdout == ("3\n" if op == "int" else "5\n")
 
     def test_calc_deriv(self, tmp_path: Path):
         fcsv = tmp_path / "f.csv"

@@ -167,6 +167,31 @@ class TestFiniteStep:
             epiderivative_liminf(VEE, 0.5, 1.0, h0, 10)
 
 
+class TestStepsThatMoveT:
+    """A quotient counts only for a step that moves t. On SQUARE, the
+    closed form at t = 1, u = 1 is 3."""
+
+    SQUARE = PLFunction((0.0, 1.0, 2.0), (0.0, 1.0, 4.0))
+
+    def test_step_that_does_not_move_t_names_h0(self):
+        # 1 + 1e-17 == 1, so the quotient would read 0
+        with pytest.raises(ParameterError, match=r"^h0 = 1e-17 gives no step "):
+            epiderivative_liminf(self.SQUARE, 1.0, 1.0, 1e-17, 0)
+
+    @pytest.mark.parametrize("h0", [1e-320, 1e-17, 0.5])
+    def test_direction_that_leaves_at_once_is_inf_for_any_h0(self, h0):
+        assert epiderivative_liminf(self.SQUARE, 2.0, 1.0, h0, 3) == math.inf
+        assert epiderivative_liminf(self.SQUARE, 0.0, -1.0, h0, 3) == math.inf
+
+    @pytest.mark.parametrize("t, u", [(0.5, 1e-310), (1.0, -1e-320), (1.0, 1e-300)])
+    def test_default_h0_stays_finite_for_tiny_directions(self, t, u):
+        h0, k_max = liminf_params(self.SQUARE, t, u)
+        assert 0 < h0 < math.inf
+        closed = epiderivative_closed(self.SQUARE, t, u)
+        got = epiderivative_liminf(self.SQUARE, t, u, h0, k_max)
+        assert abs(got - closed) <= 1e-6 * max(1.0, abs(closed))
+
+
 class TestCone:
     def test_interior_point_is_whole_plane(self):
         cone = contingent_cone_epi(VEE, 0.5, 10.0)
