@@ -195,7 +195,7 @@ class _Iterate:
             cw = C / wts
             diag = self.u ** 3 * (self._plus(wts[own] * A[own], 2.0 * B[own])
                                   + cw[own] + cw[other])
-            # -|u|^3 is u^3 for u < 0, exactly: an odd power's sign is exact
+            # for u < 0, -|u|^3 is u^3 bit for bit: an odd power of -x is -(x^3)
             off = -abs(self.u) ** 3 * self._plus(B[1:-1], cw[1:-1])
         return diag, off
 
@@ -443,8 +443,8 @@ def el_residual(problem: Problem, y: GridFunction) -> GridFunction:
     at, grid = _opened(problem, y), problem.discretized()
     if len(grid.points) < 3:
         raise DegenerateScaleError("the residual needs at least three grid points")
-    kept = at.kept
-    return GridFunction(SampleGrid(grid.points[kept], grid.dense_flags[kept]), at.residual())
+    return GridFunction(SampleGrid(grid.points[at.kept], grid.dense_flags[at.kept]),
+                        at.residual())
 
 
 def residual_column(problem: Problem, y: GridFunction,

@@ -57,10 +57,12 @@ CASES = {
                                  "overflow_cancel.csv"],
     "calc_int_overflow_partial": ["calc", "int", "points 0 1 2 3", "--f",
                                   "overflow_partial.csv"],
-    # nabla at |u| != 1, and a nabla constraint (w < 0) through the Schur step
-    "solve_nabla_mixed_steep": ["solve", "nabla_mixed_steep.prob"],
-    "residual_nabla": ["residual", "residual_nabla.prob", "--y", "trajectory.csv"],
-    "solve_iso_bump_nabla": ["solve", "solve_iso_bump_nabla.prob"],
+    # nabla at |u| != 1, and a nabla constraint (w < 0) through the Schur
+    # step; the u_neg_ inputs sort after the others, which keeps the ids of
+    # the tests that parametrize over the input files in sorted order
+    "solve_nabla_mixed_steep": ["solve", "u_neg_mixed.prob"],
+    "residual_nabla": ["residual", "u_neg_residual.prob", "--y", "trajectory.csv"],
+    "solve_iso_bump_nabla": ["solve", "u_neg_iso_bump.prob"],
 }
 
 
