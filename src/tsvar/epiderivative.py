@@ -78,19 +78,32 @@ class PLFunction:
             return self.values[i]
         return self.values[i] + self._slope(i) * (t - self.breakpoints[i])
 
+    def _piece(self, t: float, u: float) -> tuple[int, float, float] | None:
+        """The piece u != 0 moves along from t, or None when u leaves [a, b]
+        at once: its index i (breakpoints i, i + 1), and the distances from t
+        to its far end and to the end of [a, b] that u points to."""
+        bp = self.breakpoints
+        if u > 0:
+            if t == self.b:
+                return None
+            i = bisect_right(bp, t) - 1
+            return i, bp[i + 1] - t, self.b - t
+        if t == self.a:
+            return None
+        i = bisect_left(bp, t) - 1
+        return i, t - bp[i], t - self.a
+
     def slope_right(self, t: float) -> float | None:
         """Slope of the piece on [t, next breakpoint); None at t == b."""
         self._check_domain(t)
-        if t == self.b:
-            return None
-        return self._slope(bisect_right(self.breakpoints, t) - 1)
+        piece = self._piece(t, 1.0)
+        return None if piece is None else self._slope(piece[0])
 
     def slope_left(self, t: float) -> float | None:
         """Slope of the piece ending at t; None at t == a."""
         self._check_domain(t)
-        if t == self.a:
-            return None
-        return self._slope(bisect_left(self.breakpoints, t) - 1)
+        piece = self._piece(t, -1.0)
+        return None if piece is None else self._slope(piece[0])
 
 
 def extend(f: GridFunction) -> PLFunction:
@@ -109,10 +122,8 @@ def epiderivative_closed(fbar: PLFunction, t: float, u: float) -> float:
     fbar._check_domain(t)
     if u == 0:
         return 0.0
-    s = fbar.slope_right(t) if u > 0 else fbar.slope_left(t)
-    if s is None:
-        return math.inf
-    return u * s
+    piece = fbar._piece(t, u)
+    return math.inf if piece is None else u * fbar._slope(piece[0])
 
 
 def epiderivative_liminf(fbar: PLFunction, t: float, u: float,
@@ -134,11 +145,10 @@ def epiderivative_liminf(fbar: PLFunction, t: float, u: float,
     if k_max < 0:
         raise ParameterError(f"k_max must be nonnegative, got {k_max!r}")
     fbar._check_domain(t)
-    if u == 0:
-        return 0.0
-    gap = _first_piece_gap(fbar, t, u)
-    if gap == 0.0:
-        return math.inf
+    piece = None if u == 0 else fbar._piece(t, u)
+    if piece is None:
+        return 0.0 if u == 0 else math.inf
+    _, gap, _ = piece
     ft = fbar.eval(t)
     quotient: float | None = None
     for k in range(k_max + 1):
@@ -157,16 +167,6 @@ def epiderivative_liminf(fbar: PLFunction, t: float, u: float,
     return math.inf if quotient is None else quotient
 
 
-def _first_piece_gap(fbar: PLFunction, t: float, u: float) -> float:
-    """Distance from t to the nearest breakpoint in the direction of u; 0
-    when that direction leaves [a, b] at once."""
-    if u > 0:
-        return 0.0 if t == fbar.b else (
-            fbar.breakpoints[bisect_right(fbar.breakpoints, t)] - t)
-    return 0.0 if t == fbar.a else (
-        t - fbar.breakpoints[bisect_left(fbar.breakpoints, t) - 1])
-
-
 def liminf_params(fbar: PLFunction, t: float, u: float,
                   h0: float | None = None) -> tuple[float, int]:
     """Step parameters (h0, k_max) that make the final quotient exact.
@@ -178,12 +178,12 @@ def liminf_params(fbar: PLFunction, t: float, u: float,
     """
     require_finite(("direction u", u))
     fbar._check_domain(t)
-    span = (fbar.b - t) if u > 0 else (t - fbar.a)
-    if u == 0 or span <= 0:
+    piece = None if u == 0 else fbar._piece(t, u)
+    if piece is None:
         return (h0 if h0 is not None else 1.0), 0
+    _, gap, span = piece
     if h0 is None:
         h0 = min(0.9 * span / abs(u), math.nextafter(math.inf, 0.0))
-    gap = _first_piece_gap(fbar, t, u)
     k = 0
     while h0 * 2.0 ** (-k) * abs(u) >= gap and k < 200:
         k += 1
@@ -208,11 +208,10 @@ class EpiCone:
     def contains(self, u: float, v: float) -> bool:
         if self.interior:
             return True
-        if u > 0:
-            return math.isfinite(self.slope_right) and v >= self.slope_right * u
-        if u < 0:
-            return math.isfinite(self.slope_left) and v >= self.slope_left * u
-        return v >= 0.0
+        if not (u > 0 or u < 0):  # u == 0, or nan: no side to move along
+            return v >= 0.0
+        s = self.slope_right if u > 0 else self.slope_left
+        return math.isfinite(s) and v >= s * u
 
 
 def contingent_cone_epi(fbar: PLFunction, t: float, level: float) -> EpiCone:

@@ -74,6 +74,13 @@ class TestValidation:
         fbar = PLFunction((-math.inf, 0.0, math.inf), (1.0, 2.0, 3.0))
         assert fbar.a == -math.inf and fbar.b == math.inf
 
+    @pytest.mark.parametrize("t, u", [(math.inf, 1.0), (-math.inf, -1e-300)])
+    def test_infinite_end_that_u_leaves_at_once(self, t, u):
+        # the span inf - inf is nan, which once made the default h0 nan
+        fbar = PLFunction((-math.inf, 0.0, math.inf), (1.0, 2.0, 3.0))
+        assert liminf_params(fbar, t, u) == (1.0, 0)
+        assert epiderivative_liminf(fbar, t, u, 1.0, 0) == math.inf
+
     def test_extend_keeps_tuples(self):
         grid = TimeScale.of_points(0, 1, 3).discretize(1.0)
         fbar = extend(GridFunction(grid, (0.5, 2.0, -1.0)))
