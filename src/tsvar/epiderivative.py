@@ -175,6 +175,7 @@ def liminf_params(fbar: PLFunction, t: float, u: float,
     float when a tiny u makes that overflow; k_max shrinks it until the step
     clears the nearest breakpoint in the direction of u. When no step is
     admissible the estimator will report +inf regardless, and (1.0, 0) is returned.
+    A default h0 that cannot move t raises ParameterError: no step can.
     """
     require_finite(("direction u", u))
     fbar._check_domain(t)
@@ -184,6 +185,9 @@ def liminf_params(fbar: PLFunction, t: float, u: float,
     _, gap, span = piece
     if h0 is None:
         h0 = min(0.9 * span / abs(u), math.nextafter(math.inf, 0.0))
+        if t + h0 * u == t:
+            raise ParameterError(f"direction u = {u!r} is too small to move t = {t!r} "
+                                 f"within [{fbar.a!r}, {fbar.b!r}]")
     k = 0
     while h0 * 2.0 ** (-k) * abs(u) >= gap and k < 200:
         k += 1

@@ -334,12 +334,13 @@ class TestEpiderivSteps:
     domain at once, and directions too small for a finite default h0, on
     samples 0, 1, 4 at points 0 1 2."""
 
-    def run(self, tmp_path: Path, capsys, *args: str):
+    def run(self, tmp_path: Path, capsys, *args: str,
+            scale: str = "points 0 1 2", rows: str = "0,0\n1,1\n2,4\n"):
         from tsvar import cli
 
         fcsv = tmp_path / "f.csv"
-        fcsv.write_text("t,value\n0,0\n1,1\n2,4\n")
-        code = cli.main(["epideriv", "points 0 1 2", "--f", str(fcsv), *args])
+        fcsv.write_text("t,value\n" + rows)
+        code = cli.main(["epideriv", scale, "--f", str(fcsv), *args])
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
@@ -351,6 +352,16 @@ class TestEpiderivSteps:
     def test_direction_that_leaves_at_once_prints_inf(self, tmp_path: Path, capsys):
         assert self.run(tmp_path, capsys, "--t", "2", "--u", "1", "--h0", "1e-320") == (
             0, "closed,liminf\ninf,inf\n", "")
+
+    def test_default_h0_that_does_not_move_t_names_u_and_t(self, tmp_path: Path, capsys):
+        far = dict(scale="points 0 1e10", rows="0,0\n1e10,1\n")
+        args = ("--t", "1e10", "--u=-1e-320")
+        assert self.run(tmp_path, capsys, *args, **far) == (
+            2, "", "error: direction u = -1e-320 is too small to move "
+                   "t = 10000000000.0 within [0.0, 10000000000.0]\n")
+        assert self.run(tmp_path, capsys, *args, "--h0", "1e300", **far) == (
+            2, "", "error: h0 = 1e+300 gives no step that moves t = 10000000000.0 in "
+                   "the direction u = -1e-320 within [0.0, 10000000000.0]\n")
 
     @pytest.mark.parametrize("t, u", [("0.5", "1e-310"), ("1", "-1e-320")])
     def test_tiny_direction_has_a_finite_default_h0(self, tmp_path: Path, capsys, t, u):

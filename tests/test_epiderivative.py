@@ -185,6 +185,17 @@ class TestStepsThatMoveT:
         with pytest.raises(ParameterError, match=r"^h0 = 1e-17 gives no step "):
             epiderivative_liminf(self.SQUARE, 1.0, 1.0, 1e-17, 0)
 
+    def test_default_h0_that_does_not_move_t_names_u_and_t(self):
+        # the default h0 is the largest float, and 1e10 + 1.8e308 * -1e-320 == 1e10
+        fbar = PLFunction((0.0, 1e10), (0.0, 1.0))
+        with pytest.raises(ParameterError) as err:
+            liminf_params(fbar, 1e10, -1e-320)
+        assert str(err.value) == ("direction u = -1e-320 is too small to move "
+                                  "t = 10000000000.0 within [0.0, 10000000000.0]")
+        h0, k_max = liminf_params(fbar, 1e10, -1e-320, h0=1e300)
+        with pytest.raises(ParameterError, match=r"^h0 = 1e\+300 gives no step "):
+            epiderivative_liminf(fbar, 1e10, -1e-320, h0, k_max)
+
     @pytest.mark.parametrize("h0", [1e-320, 1e-17, 0.5])
     def test_direction_that_leaves_at_once_is_inf_for_any_h0(self, h0):
         assert epiderivative_liminf(self.SQUARE, 2.0, 1.0, h0, 3) == math.inf
