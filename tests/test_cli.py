@@ -332,7 +332,8 @@ class TestEpideriv:
 class TestEpiderivSteps:
     """In process: a step that does not move t, a direction that leaves the
     domain at once, and directions too small for a finite default h0, on
-    samples 0, 1, 4 at points 0 1 2."""
+    samples 0, 1, 4 at points 0 1 2; and a default h0 that cannot move t,
+    on samples 0, 1 at points 0 1e10."""
 
     def run(self, tmp_path: Path, capsys, *args: str,
             scale: str = "points 0 1 2", rows: str = "0,0\n1,1\n2,4\n"):
