@@ -28,7 +28,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import probe_points, scales
@@ -57,7 +57,7 @@ from tsvar import (
     solve,
     solve_iso,
 )
-from tsvar.errors import TsvarError
+from tsvar.errors import IterationLimitError, TsvarError
 from tsvar.variational import _Iterate
 
 # smooth everywhere, so every random trajectory can be evaluated
@@ -329,13 +329,29 @@ def test_reflected_solve_iso_is_the_reversed_solve(scale, h, u, w, text, gtext,
                        G=Lagrangian.from_text(gtext), w=w, K=k)
     iso_q = IsoProblem(scale=q.scale, u=-u, L=q.L, alpha=beta, beta=alpha, h=h,
                        G=Lagrangian.from_text(reflected_text(gtext)), w=-w, K=-k)
-    # nearly every drawn problem that converges takes far fewer than 30
-    # steps; the cap keeps the ones that do not from dominating the run time
-    sols = same_outcome(lambda: solve_iso(iso_p, max_iter=30),
-                        lambda: solve_iso(iso_q, max_iter=30))
-    if sols is None:
+    outcomes = []
+    for iso in iso_p, iso_q:
+        try:
+            # nearly every drawn problem that converges takes far fewer than
+            # 30 steps; the cap keeps the others from dominating the run time
+            outcomes.append(solve_iso(iso, max_iter=30))
+        except TsvarError as err:
+            outcomes.append(err)
+    sol_p, sol_q = outcomes
+    failed = [isinstance(s, TsvarError) for s in outcomes]
+    if all(failed):
+        assert type(sol_q) is type(sol_p)
         return
-    sol_p, sol_q = sols
+    # A long damped Newton path can drift apart on the two sides: the
+    # reversed tridiagonal solves round differently, a line search then
+    # accepts other steps, and the sides take different step counts and stop
+    # at different points within the tolerance. Such draws are rare and say
+    # nothing about the mirror; a path that never mirrors discards them all.
+    if any(failed):
+        err = sol_p if failed[0] else sol_q
+        assume(not isinstance(err, IterationLimitError))
+        raise err  # the other side solved
+    assume(sol_q.iterations == sol_p.iterations)
     assert_reversed(sol_p, sol_q)
     assert (sol_q.lam0, sol_q.normal_flag) == (sol_p.lam0, sol_p.normal_flag)
     assert abs(sol_q.lam - sol_p.lam) <= 1e-10 * abs(sol_p.lam)
