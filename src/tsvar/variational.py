@@ -146,8 +146,8 @@ class _Iterate:
             self._plus, self._minus = np.subtract, np.add
             self.kept, self._inner = slice(2, None), slice(None, -2)
         # per term: base points, scaled y slot, scaled v slot, step weights
-        steps = ts[1:] - ts[:-1]
         with np.errstate(all="ignore"):  # a checked read reports what overflows
+            steps = ts[1:] - ts[:-1]
             slopes = (ys[1:] - ys[:-1]) / steps
             self.args = ts[self._base], u * ys[self._shift], u * slopes, steps
         self._values: dict[str, np.ndarray] = {}  # by name: "L", "dL_dy", "dL_dv"
@@ -463,6 +463,11 @@ def residual_column(problem: Problem, y: GridFunction,
     return col
 
 
+def _require_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
+
+
 def _interior_max(res: np.ndarray) -> float:
     if not res.size:
         raise DegenerateScaleError(
@@ -479,8 +484,9 @@ def verify(problem: Problem, y: GridFunction, tol: float,
     the pair of a Solution, e.g. verify(iso, sol.y, tol, sol.lam0, sol.lam),
     it is the combined residual lam0 * (L side) - lam * (constraint side).
     Multipliers on a plain Problem, and a lone multiplier, raise
-    ParameterError.
+    ParameterError, as does a tol that is not positive and finite.
     """
+    _require_tol(tol)
     at = _opened(problem, y, boundaries=False)
     boundary_ok = _missed_ends(problem, y) is None
     residual_max = _interior_max(_interior_residual(problem, at, y, lam0, lam))
@@ -494,64 +500,78 @@ def verify(problem: Problem, y: GridFunction, tol: float,
 
 # -- solvers ----------------------------------------------------------------------------
 
-def _affine_start(problem: Problem, ts: np.ndarray) -> np.ndarray:
-    span = ts[-1] - ts[0]
-    with np.errstate(all="ignore"):  # a checked read reports what overflows
-        ys = problem.alpha + (problem.beta - problem.alpha) * (ts - ts[0]) / span
-    ys[0] = problem.alpha
-    ys[-1] = problem.beta
-    return ys
-
-
-def _prepared_grid(problem: Problem) -> tuple[SampleGrid, np.ndarray]:
-    grid = problem.discretized()
-    if len(grid.points) < 5:
-        raise DegenerateScaleError(
-            "doubly truncated interior is empty after discretization; "
-            "use a finer step or a larger scale")
-    return grid, grid.points
-
-
 def _newton(problem: Problem, tol: float, max_iter: int, system, step, norm: str,
             stalled=None):
     """Damped Newton iteration on the state (ys, lam) from the affine start
     and lam = 0: system(ts, z, lam, checked) gives an iterate's record and
     the system's value phi, step(record, phi, lam) the step (dy, dlam), and
     stalled(record, phi) may raise in place of a stalled line search.
-    Returns (grid, ys, lam, record, iterations)."""
-    if not 0 < tol < math.inf:
-        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
+    Returns (grid, ys, lam, record, iterations).
+
+    The line search halves alpha from 1 until the squared norm of phi
+    decreases; below alpha = 1e-12 it stalls with IterationLimitError
+    carrying the iterate it started from."""
+    _require_tol(tol)
     if max_iter < 0:
         raise ParameterError(f"max_iter must be nonnegative, got {max_iter!r}")
-    grid, ts = _prepared_grid(problem)
-    ys, lam = _affine_start(problem, ts), 0.0
-
-    # the line search's trial at alpha along the current iterate's step
-    def trial(alpha: float):
-        z = _moved(ys, dy, alpha)
-        lam_try = lam + alpha * dlam
-        record_z, phi_z = system(ts, z, lam_try, False)
-        return (z, lam_try, record_z), phi_z
-
+    grid = problem.discretized()
+    ts = grid.points
+    if len(ts) < 5:
+        raise DegenerateScaleError(
+            "doubly truncated interior is empty after discretization; "
+            "use a finer step or a larger scale")
+    with np.errstate(all="ignore"):  # a checked read reports what overflows
+        span = ts[-1] - ts[0]
+        ys = problem.alpha + (problem.beta - problem.alpha) * (ts - ts[0]) / span
+    ys[0], ys[-1] = problem.alpha, problem.beta
+    lam = 0.0
     record, phi = system(ts, ys, lam, True)
     iterations = 0
-    while not float(np.max(np.abs(phi))) <= tol:  # a nan norm does not converge
+    # a nan norm does not converge
+    while not (top := float(np.max(np.abs(phi)))) <= tol:
         if iterations >= max_iter:
             raise IterationLimitError(
-                f"no convergence after {max_iter} Newton steps "
-                f"({norm} norm {float(np.max(np.abs(phi))):.3e})",
+                f"no convergence after {max_iter} Newton steps ({norm} norm {top:.3e})",
                 last=tuple(ys.tolist()))
         dy, dlam = step(record, phi, lam)
         if not (np.all(np.isfinite(dy)) and math.isfinite(dlam)):
             raise SingularSystemError("Newton step is not finite")
-        try:
-            (ys, lam, record), phi = _backtrack(trial, phi, tol, ys)
-        except IterationLimitError:
+        # the merits are scaled by 4^-e, with 2^e about max |phi|, so phi0 does
+        # not overflow; a power of two scales exactly, which keeps every
+        # comparison that neither overflows nor underflows unscaled
+        e = -math.frexp(top)[1]
+        scaled = np.ldexp(phi, e)
+        phi0 = 0.5 * float(scaled @ scaled)
+        alpha = 1.0
+        while alpha >= 1e-12:
+            # a trial is unchecked and may overflow; a non-finite one is rejected
+            with np.errstate(all="ignore"):
+                z = _moved(ys, dy, alpha)
+                lam_z = lam + alpha * dlam
+                record_z, phi_z = system(ts, z, lam_z, False)
+                scaled = np.ldexp(phi_z, e)
+                phi1 = 0.5 * float(scaled @ scaled)
+            if np.all(np.isfinite(phi_z)) and (
+                    phi1 <= phi0 * (1.0 - 1e-4 * alpha)
+                    or float(np.max(np.abs(phi_z))) <= tol):
+                break
+            alpha *= 0.5
+        else:
             if stalled is not None:
                 stalled(record, phi)
-            raise
+            raise IterationLimitError(
+                "line search stalled before reaching the tolerance",
+                last=tuple(ys.tolist()))
+        ys, lam, record, phi = z, lam_z, record_z, phi_z
         iterations += 1
     return grid, ys, lam, record, iterations
+
+
+def _moved(ys: np.ndarray, step: np.ndarray, alpha: float) -> np.ndarray:
+    """ys with alpha * step added to its interior values."""
+    trial = ys.copy()
+    trial[1:-1] += alpha * step
+    return trial
 
 
 def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution:
@@ -582,42 +602,6 @@ def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution
         residual_max=_interior_max(res),
         iterations=iterations,
     )
-
-
-def _moved(ys: np.ndarray, step: np.ndarray, alpha: float) -> np.ndarray:
-    """ys with alpha * step added to its interior values."""
-    trial = ys.copy()
-    trial[1:-1] += alpha * step
-    return trial
-
-
-def _backtrack(trial, phi: np.ndarray, tol: float, ys: np.ndarray):
-    """Halve alpha from 1 until the squared norm of the system decreases.
-
-    trial(alpha) returns the trial point and the system's value there; the
-    first accepted pair is returned. A stalled search raises
-    IterationLimitError carrying ys, the iterate it started from.
-    """
-    # the merits are scaled by 4^-e, with 2^e about max |phi|, so phi0 does
-    # not overflow; a power of two scales exactly, which keeps every
-    # comparison that neither overflows nor underflows unscaled
-    e = -math.frexp(float(np.max(np.abs(phi))))[1]
-    scaled = np.ldexp(phi, e)
-    phi0 = 0.5 * float(scaled @ scaled)
-    alpha = 1.0
-    while alpha >= 1e-12:
-        # a trial is unchecked and may overflow; a non-finite one is rejected
-        with np.errstate(all="ignore"):
-            point, phit = trial(alpha)
-            scaled = np.ldexp(phit, e)
-            phi1 = 0.5 * float(scaled @ scaled)
-        if np.all(np.isfinite(phit)):
-            if phi1 <= phi0 * (1.0 - 1e-4 * alpha) or float(np.max(np.abs(phit))) <= tol:
-                return point, phit
-        alpha *= 0.5
-    raise IterationLimitError(
-        "line search stalled before reaching the tolerance",
-        last=tuple(ys.tolist()))
 
 
 def _bordered_step(diag: np.ndarray, off: np.ndarray, gg: np.ndarray,
@@ -709,6 +693,11 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
     reported multiplier pair follows the convention
     lam0 * (L-side residual) = lam * (constraint-side residual):
     a normal extremizer gets lam0 = 1, an abnormal one (0, 1).
+
+    tol bounds the system norm, the larger of the combined gradient's and
+    the constraint gap's, not the reported residual_max, which can exceed
+    it, as in solve: a 28-point nabla problem converges after 30 steps
+    with residual_max = 3.0e-10 under tol = 1e-10.
     """
     u, w = iso.u, iso.w
 
@@ -734,7 +723,7 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
         if cons_gap > tol and float(np.max(np.abs(record[2]))) <= max(tol, 1e-12):
             raise InfeasibleConstraintError(
                 f"constraint value is insensitive to the trajectory but "
-                f"misses its target by {cons_gap:.3e}") from None
+                f"misses its target by {cons_gap:.3e}")
 
     grid, ys, lam_g, (at_l, at_g, _), iterations = _newton(
         iso, tol, max_iter, system, step, "system", stalled)

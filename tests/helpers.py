@@ -209,33 +209,28 @@ def reference_read_grid_csv(stream, scale: TimeScale | None = None
     return points, flags, values
 
 
-# -- the per-call Newton loop that iterate records replaced -----------------------
+# -- the per-call figures that iterate records replaced -----------------------------
 
 def reference_solve(problem, tol: float = 1e-10, max_iter: int = 100):
-    """solve with one call per figure: every gradient, Hessian, residual and
+    """solve with one call per figure: _newton drives the iteration with the
+    bare trajectory as its record, and every gradient, Hessian, residual and
     functional value packs and evaluates its own arguments in a fresh
     record."""
     from tsvar import GridFunction, Solution
-    from tsvar.variational import (
-        _affine_start, _backtrack, _interior_max, _Iterate, _moved,
-        _prepared_grid, _solve_tridiagonal)
+    from tsvar.variational import _interior_max, _Iterate, _newton, _solve_tridiagonal
 
-    grid, ts = _prepared_grid(problem)
     lag, u = problem.L, problem.u
-    ys = _affine_start(problem, ts)
+    ts = problem.discretized().points
 
-    def trial(alpha):
-        z = _moved(ys, step, alpha)
-        return z, _Iterate(lag, u, ts, z).grad(checked=False)
+    def system(ts, z, lam, checked):
+        return z, _Iterate(lag, u, ts, z).grad(checked)
 
-    g = _Iterate(lag, u, ts, ys).grad()
-    iterations = 0
-    while float(np.max(np.abs(g))) > tol:
-        assert iterations < max_iter
-        [step] = _solve_tridiagonal(*_Iterate(lag, u, ts, ys).hess(), -g)
-        assert np.all(np.isfinite(step))
-        ys, g = _backtrack(trial, g, tol, ys)
-        iterations += 1
+    def step(z, g, lam):
+        [dy] = _solve_tridiagonal(*_Iterate(lag, u, ts, z).hess(), -g)
+        return dy, 0.0
+
+    grid, ys, _, _, iterations = _newton(problem, tol, max_iter, system, step,
+                                         "stationarity")
     res = _Iterate(lag, u, ts, ys).interior()
     return Solution(
         y=GridFunction(grid, ys),
@@ -248,38 +243,24 @@ def reference_solve(problem, tol: float = 1e-10, max_iter: int = 100):
 def reference_solve_iso(iso, tol: float = 1e-10, max_iter: int = 100):
     """solve_iso with one call per figure, as reference_solve."""
     from tsvar import GridFunction, Solution
-    from tsvar.variational import (
-        _affine_start, _backtrack, _bordered_step, _interior_max,
-        _Iterate, _moved, _prepared_grid)
+    from tsvar.variational import _bordered_step, _interior_max, _Iterate, _newton
 
-    grid, ts = _prepared_grid(iso)
     u, w = iso.u, iso.w
-    ys = _affine_start(iso, ts)
-    lam_g = 0.0
+    ts = iso.discretized().points
 
-    def system(z, lam_val, checked):
+    def system(ts, z, lam, checked):
         gl = _Iterate(iso.L, u, ts, z).grad(checked)
         gg = _Iterate(iso.G, w, ts, z).grad(checked)
         cons = _Iterate(iso.G, w, ts, z).functional(checked) - iso.K
-        return np.concatenate([gl - lam_val * gg, [cons]])
+        return z, np.concatenate([gl - lam * gg, [cons]])
 
-    def trial(alpha):
-        z = _moved(ys, step, alpha)
-        lam_try = lam_g + alpha * dlam
-        return (z, lam_try), system(z, lam_try, checked=False)
+    def step(z, phi, lam):
+        gg = _Iterate(iso.G, w, ts, z).grad()
+        diag_l, off_l = _Iterate(iso.L, u, ts, z).hess()
+        diag_g, off_g = _Iterate(iso.G, w, ts, z).hess()
+        return _bordered_step(diag_l - lam * diag_g, off_l - lam * off_g, gg, phi)
 
-    phi = system(ys, lam_g, checked=True)
-    iterations = 0
-    while float(np.max(np.abs(phi))) > tol:
-        assert iterations < max_iter
-        gg = _Iterate(iso.G, w, ts, ys).grad()
-        diag_l, off_l = _Iterate(iso.L, u, ts, ys).hess()
-        diag_g, off_g = _Iterate(iso.G, w, ts, ys).hess()
-        step, dlam = _bordered_step(diag_l - lam_g * diag_g,
-                                    off_l - lam_g * off_g, gg, phi)
-        assert np.all(np.isfinite(step)) and math.isfinite(dlam)
-        (ys, lam_g), phi = _backtrack(trial, phi, tol, ys)
-        iterations += 1
+    grid, ys, lam_g, _, iterations = _newton(iso, tol, max_iter, system, step, "system")
     res_g = _Iterate(iso.G, w, ts, ys).interior()
     if _interior_max(res_g) <= tol:
         lam0, lam_out, normal = 0.0, 1.0, False

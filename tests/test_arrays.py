@@ -37,10 +37,10 @@ GOLDEN = Path(__file__).parent / "golden" / "inputs"
 MIXED = "interval 0 1; points 1.5 2; interval 3 4"
 
 
-def _golden_problems():
-    for path in sorted(GOLDEN.glob("*.prob")):
-        if path.stem != "bad_expression":
-            yield path.stem, cli.parse_problem_file(path.read_text())
+# by file stem, which also names each case, so adding a file renames none
+GOLDEN_PROBLEMS = {path.stem: cli.parse_problem_file(path.read_text())
+                   for path in sorted(GOLDEN.glob("*.prob"))
+                   if path.stem != "bad_expression"}
 
 
 def _same_bits(a, b) -> bool:
@@ -48,8 +48,9 @@ def _same_bits(a, b) -> bool:
 
 
 class TestDiscretizeMatchesLoop:
-    @pytest.mark.parametrize("name, problem", list(_golden_problems()))
-    def test_golden_scales(self, name, problem):
+    @pytest.mark.parametrize("problem", GOLDEN_PROBLEMS.values(),
+                             ids=GOLDEN_PROBLEMS.keys())
+    def test_golden_scales(self, problem):
         grid = problem.scale.discretize(problem.h)
         pts, flags = reference_discretize(problem.scale, problem.h)
         assert grid.points.tolist() == pts

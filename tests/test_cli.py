@@ -572,6 +572,25 @@ class TestQuietOverflow:
         assert self.run(tmp_path, capsys, text, "--y", str(traj)) == (
             0, "t,residual\n0,\n0.25,\n0.5,inf\n0.75,\n1,\n", "")
 
+    def test_overflowing_steps_write_no_warning(self, tmp_path: Path):
+        # a step of 2e308 on the first scale, a span of 2e308 on the second
+        far = tmp_path / "far.prob"
+        far.write_text(self.problem("points -1e308 1e308 1.2e308 1.4e308 1.6e308",
+                                    "v^2 + y^2", "1", "0.25"))
+        traj = tmp_path / "y.csv"
+        traj.write_text("t,value\n-1e308,0\n1e308,0.5\n1.2e308,0.6\n"
+                        "1.4e308,0.7\n1.6e308,1\n")
+        cp = run_cli("residual", str(far), "--y", str(traj))
+        assert (cp.returncode, cp.stderr) == (0, "")
+        assert cp.stdout.splitlines()[3] == "1.1999999999999999e+308,-1.3999999999999999"
+        split = tmp_path / "split.prob"
+        split.write_text(self.problem("points -1e308\ninterval 0 1\npoints 1e308",
+                                      "v^2 + y^2", "1", "0.25"))
+        cp = run_cli("solve", str(split))
+        assert (cp.returncode, cp.stderr) == (0, "functional_value = 1e+308\n"
+                                              "residual_max = 7.9999999999999993e-308\n"
+                                              "iterations = 0\n")
+
 
 class TestInfiniteTolerances:
     """An infinite --tol or --h0 is malformed input: exit 2, one line."""

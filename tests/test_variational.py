@@ -1320,7 +1320,9 @@ class TestNewtonStepCheck:
 
 
 class TestFiniteTolerance:
-    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+    # verify shares the solvers' rule: a nan tol used to fail every
+    # trajectory, and an infinite one to pass any that met the boundaries
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0, 0.0])
     def test_rejected_by_both_solvers(self, tol):
         p = classical(L=Lagrangian.from_text("v^2 + y^2"), h=0.25)
         iso = IsoProblem(scale=UNIT, u=1.0, L=V2, alpha=0.0, beta=0.0, h=0.25,
@@ -1330,6 +1332,8 @@ class TestFiniteTolerance:
             solve(p, tol=tol)
         with pytest.raises(ParameterError, match=message):
             solve_iso(iso, tol=tol)
+        with pytest.raises(ParameterError, match=message):
+            verify(p, trajectory(p, lambda t: t), tol=tol)
 
 
 class TestQuietOverflow:
@@ -1338,21 +1342,25 @@ class TestQuietOverflow:
     scales its merit by a power of two; every other overflow reaches the
     Newton step's check, or reads as inf."""
 
-    def test_merit_is_scaled_exactly(self, monkeypatch):
-        # 2^600 * L has exactly 2^600 times the gradient and the Hessian, so
-        # with tol scaled alike the iteration, backtracking included, is the
-        # same bit for bit; unscaled, its merit 0.5 * |g|^2 overflows
+    @pytest.fixture
+    def alphas(self, monkeypatch):
+        """Every line-search trial's alpha, in order."""
         from tsvar import variational
 
-        alphas = []
+        tried = []
         real = variational._moved
 
         def spy(ys, step, alpha):
-            alphas.append(alpha)
+            tried.append(alpha)
             return real(ys, step, alpha)
 
         monkeypatch.setattr(variational, "_moved", spy)
+        return tried
 
+    def test_merit_is_scaled_exactly(self, alphas):
+        # 2^600 * L has exactly 2^600 times the gradient and the Hessian, so
+        # with tol scaled alike the iteration, backtracking included, is the
+        # same bit for bit; unscaled, its merit 0.5 * |g|^2 overflows
         def run(k):
             p = classical(L=Lagrangian.from_text(f"2^{k}*(log(2 + v^2) + y^2/2)"), h=0.1)
             return solve(p, tol=2.0 ** k * 1e-10)
@@ -1369,11 +1377,35 @@ class TestQuietOverflow:
         assert (sol.iterations, sol.residual_max) == (2, 0.0)
         assert sol.functional_value == 2.4999999999999999e+199
 
-    def test_huge_constraint_merit_stalls(self):
+    def test_huge_constraint_merit_stalls(self, alphas):
         iso = IsoProblem(scale=UNIT, u=1.0, L=V2, alpha=0.0, beta=0.0, h=0.25,
                          G=Lagrangian.from_text("exp(y)"), w=1.0, K=1e300)
-        with pytest.raises(IterationLimitError, match="^line search stalled"):
+        with pytest.raises(IterationLimitError, match="^line search stalled") as info:
             solve_iso(iso)
+        # alpha = 1, 1/2, ..., 2^-39, then the stall, which carries the
+        # iterate the search started from: the affine start y = 0
+        assert alphas == [2.0 ** -k for k in range(40)]
+        assert info.value.last == (0.0,) * 5
+
+    def test_overflowing_step_is_quiet(self):
+        # the first step, 2e308, overflows; the terms past it stay finite
+        far = TimeScale.of_points(-1e308, 1e308, 1.2e308, 1.4e308, 1.6e308)
+        p = classical(L=Lagrangian.from_text("v^2 + y^2"), scale=far, h=0.25)
+        y = GridFunction(p.discretized(), (0.0, 0.5, 0.6, 0.7, 1.0))
+        assert residual_column(p, y) == [None, None, -1.4, None, None]
+        assert el_residual(p, y).values.tolist() == [-1.0, -1.2, -1.4]
+        report = verify(p, y, tol=1e-8)
+        assert (report.residual_max, report.passed) == (1.4, False)
+        # the inf weight of the first term gives way to the exact sum
+        assert functional_value(p, y) == 8.699999999999999e+307
+        assert report.functional_value == functional_value(p, y)
+
+    def test_overflowing_span_is_quiet(self):
+        # the affine start divides by the span ts[-1] - ts[0] = 2e308
+        scale = TimeScale((Segment(-1e308, -1e308), Segment(0.0, 1.0),
+                           Segment(1e308, 1e308)))
+        sol = solve(classical(L=Lagrangian.from_text("v^2 + y^2"), scale=scale, h=0.25))
+        assert (sol.iterations, sol.residual_max) == (0, 7.9999999999999993e-308)
 
     def test_overflowing_gradient(self):
         p = classical(L=Lagrangian.from_text("1.7e308*y + v^2"), h=2.0,
