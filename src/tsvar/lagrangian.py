@@ -17,6 +17,7 @@ Python's default recursion limit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Union
@@ -33,7 +34,7 @@ from .errors import (
 __all__ = [
     "Num", "Var", "Neg", "BinOp", "Call", "Expr",
     "parse", "differentiate", "evaluate", "evaluate_array", "to_text",
-    "Lagrangian",
+    "Program", "Lagrangian",
 ]
 
 VARIABLES = ("t", "y", "v")
@@ -78,6 +79,10 @@ class Call:
 
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
+
+# the leaves that parsing and differentiation make most often, built once
+_ZERO, _ONE, _TWO = Num(0.0), Num(1.0), Num(2.0)
+_VARS = {name: Var(name) for name in VARIABLES}
 
 _NUMPY = {
     "sin": np.sin,
@@ -174,14 +179,14 @@ def _make(op: str, left: Expr, right: Expr) -> Expr:
             return _neg(right)
     elif op == "*":
         if lv == 0.0 or rv == 0.0:
-            return Num(0.0)
+            return _ZERO
         if lv == 1.0:
             return right
         if rv == 1.0:
             return left
     elif op == "/":
         if lv == 0.0:
-            return Num(0.0)
+            return _ZERO
         if rv == 1.0:
             return left
     return BinOp(op, left, right)
@@ -207,7 +212,7 @@ def _pow(base: Expr, exponent: Expr) -> Expr:
         if c == 1.0:
             return base
         if c == 0.0:
-            return Num(1.0)
+            return _ONE
         return BinOp("^", base, exponent)
     # variable exponent: rewrite b^e as exp(e * log(b))
     return _call("exp", _make("*", exponent, _call("log", base)))
@@ -306,7 +311,7 @@ class _Parser:
         if kind == "name":
             self.take()
             if text in VARIABLES:
-                return Var(text)
+                return _VARS[text]
             if text in FUNCTIONS:
                 self.expect("(", "'(' after function name")
                 arg = self.nested(self.expr)
@@ -344,9 +349,9 @@ def differentiate(e: Expr, var: str) -> Expr:
 
 def _d(e: Expr, var: str) -> Expr:
     if isinstance(e, Num):
-        return Num(0.0)
+        return _ZERO
     if isinstance(e, Var):
-        return Num(1.0 if e.name == var else 0.0)
+        return _ONE if e.name == var else _ZERO
     if isinstance(e, Neg):
         return _neg(_d(e.arg, var))
     if isinstance(e, Call):
@@ -360,7 +365,7 @@ def _d(e: Expr, var: str) -> Expr:
         if e.func == "log":
             return _make("/", da, e.arg)
         if e.func == "sqrt":
-            return _make("/", da, _make("*", Num(2.0), _call("sqrt", e.arg)))
+            return _make("/", da, _make("*", _TWO, _call("sqrt", e.arg)))
         raise ParameterError(f"unknown function {e.func!r}")
     da, db = _d(e.left, var), _d(e.right, var)
     if e.op == "+":
@@ -374,7 +379,7 @@ def _d(e: Expr, var: str) -> Expr:
         return _make("/", num, _make("*", e.right, e.right))
     # '^' always has a constant exponent after parsing
     c = e.right.value  # type: ignore[union-attr]
-    return _make("*", _make("*", Num(c), _pow(e.left, Num(c - 1.0))), da)
+    return _make("*", _make("*", e.right, _pow(e.left, Num(c - 1.0))), da)
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -389,12 +394,15 @@ def evaluate(e: Expr, t: Any, y: Any, v: Any) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def raise_if_singular(out: np.ndarray, t: Any, y: Any, v: Any) -> np.ndarray:
+def raise_if_singular(out: Any, t: Any, y: Any, v: Any) -> Any:
     """out, the values of an expression at (t, y, v), once none is singular;
-    else EvaluationError names the first singular point."""
+    else EvaluationError names the first singular point. A scalar out is a
+    constant's value at every point."""
     finite = np.isfinite(out)
     if not finite.all():
-        i = int(np.argmin(finite))
+        if not isinstance(out, np.ndarray):
+            out = np.full(np.broadcast(t, y, v).shape, out)
+        i = int(np.argmin(np.isfinite(out)))
         t, y, v = (float(np.broadcast_to(a, out.shape).flat[i]) for a in (t, y, v))
         raise EvaluationError(
             f"cannot evaluate expression at t={t!r}, y={y!r}, v={v!r}: "
@@ -436,6 +444,96 @@ def _ev_arr(e: Expr, t: Any, y: Any, v: Any) -> Any:
     return np.power(lv, rv)
 
 
+# -- programs -------------------------------------------------------------------------
+
+# the operation _ev_arr applies for each operator, so a program's results
+# are _ev_arr's bit for bit
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": np.divide, "^": np.power}
+
+
+class Program:
+    """Several expressions compiled into one straight-line program.
+
+    Calling it at (t, y, v) gives each expression's value as _ev_arr does,
+    bit for bit: an array, or a scalar for a constant. Every distinct
+    subexpression runs once, however often the expressions repeat it, and
+    its slot is released after its last read. The caller holds np.errstate:
+    singular points yield nan or inf silently.
+    """
+
+    def __init__(self, exprs: tuple[Expr, ...]):
+        # slots 0-2 hold t, y, v; then constants and results, one slot per
+        # distinct subexpression, keyed by its operation and operand slots
+        regs: list[Any] = [None, None, None]
+        keys: dict[Any, int] = {"t": 0, "y": 1, "v": 2}
+        code: list[tuple[Callable[..., Any], int, int, int]] = []
+        # an operation's slot by node identity, so that a subtree shared by
+        # reference is walked once
+        seen: dict[int, int] = {}
+
+        def slot(e: Expr) -> int:
+            kind = e.__class__
+            if kind is Var:
+                return keys[e.name]
+            if kind is Num:  # the sign tells 0.0 from -0.0
+                key: Any = (e.value, math.copysign(1.0, e.value))
+                s = keys.get(key)
+                if s is None:
+                    s = keys[key] = len(regs)
+                    regs.append(e.value)
+                return s
+            s = seen.get(id(e))
+            if s is not None:
+                return s
+            if kind is BinOp:
+                key = (_BINARY[e.op], slot(e.left), slot(e.right))
+            elif kind is Call:
+                key = (_NUMPY[e.func], slot(e.arg), -1)
+            else:
+                key = (operator.neg, slot(e.arg), -1)
+            s = keys.get(key)
+            if s is None:
+                s = keys[key] = len(regs)
+                regs.append(None)
+                code.append((*key, s))
+            seen[id(e)] = s
+            return s
+
+        outs = self._outs = tuple(slot(e) for e in exprs)
+        del slot  # it refers to itself; left alone, only the cycle collector frees it
+        # walking backwards, a result's first read found is its last; the
+        # outputs are never released
+        unread = [False] * len(regs)
+        for *_, s in code:
+            unread[s] = True
+        for s in outs:
+            unread[s] = False
+        steps = []
+        for f, a, b, s in reversed(code):
+            dead = []
+            for x in (a, b):
+                if x >= 0 and unread[x]:
+                    unread[x] = False
+                    dead.append(x)
+            steps.append((f, a, b, s, dead))
+        self._code = steps[::-1]
+        self._regs = regs
+
+    def __len__(self) -> int:
+        """The number of operations one call runs."""
+        return len(self._code)
+
+    def __call__(self, t: Any, y: Any, v: Any) -> list[Any]:
+        regs = self._regs.copy()
+        regs[0], regs[1], regs[2] = t, y, v
+        for f, a, b, out, dead in self._code:
+            regs[out] = f(regs[a]) if b < 0 else f(regs[a], regs[b])
+            for s in dead:
+                regs[s] = None
+        return [regs[s] for s in self._outs]
+
+
 # -- printing ------------------------------------------------------------------------
 
 def to_text(e: Expr) -> str:
@@ -456,7 +554,8 @@ def to_text(e: Expr) -> str:
 @dataclass(frozen=True)
 class Lagrangian:
     """An integrand L(t, y, v) with exact symbolic partials in y and v, and
-    the second partials (L_yy, L_yv, L_vv), built on first use and kept."""
+    the second partials (L_yy, L_yv, L_vv), built on first use and kept, as
+    are the two programs that evaluate them."""
 
     L: Expr
     dL_dy: Expr
@@ -467,6 +566,16 @@ class Lagrangian:
         return (differentiate(self.dL_dy, "y"),
                 differentiate(self.dL_dy, "v"),
                 differentiate(self.dL_dv, "v"))
+
+    @cached_property
+    def first_order(self) -> Program:
+        """The program of (L, L_y, L_v)."""
+        return Program((self.L, self.dL_dy, self.dL_dv))
+
+    @cached_property
+    def second_order(self) -> Program:
+        """The program of (L_yy, L_yv, L_vv)."""
+        return Program(self.second_partials)
 
     @classmethod
     def from_expr(cls, L: Expr) -> "Lagrangian":

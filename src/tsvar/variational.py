@@ -12,7 +12,8 @@ are exact on discrete scales and first-order accurate on dense parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
     ParameterError,
     SingularSystemError,
 )
-from .lagrangian import Lagrangian, evaluate_array, raise_if_singular
+from .lagrangian import Lagrangian, raise_if_singular
 from .timescale import SampleGrid, TimeScale, require_finite
 
 __all__ = [
@@ -108,6 +109,9 @@ class Solution:
     lam: float | None = None
     lam0: float | None = None
     normal_flag: bool | None = None
+    # (problem, the trajectory as solved, its records under L and G), which
+    # the public checks read in place of fresh ones while this lives
+    _solved: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -123,13 +127,15 @@ class VerifyReport:
 class _Iterate:
     """A trajectory ys on the grid ts as the integrand lag sees it in the
     direction u: the packed arguments, and lag's value and first partials
-    there, each evaluated at most once, so the gradient, functional and
-    residual of one iterate share their evaluations. The solvers and the
-    public checks read every figure of a trajectory from such a record.
+    there from one run of its first-order program, so the gradient,
+    functional and residual of one iterate share their evaluations, and
+    the residual and functional are each computed once. The solvers and
+    the public checks read every figure of a trajectory from such a record.
 
-    A checked read raises EvaluationError at the first non-finite value, as
-    evaluate does; an unchecked one, as a line-search trial makes, returns
-    the values as they are.
+    A partial that is constant is one scalar. A checked read raises
+    EvaluationError at the first non-finite value, as evaluate does; an
+    unchecked one, as a line-search trial makes, returns the values as they
+    are.
     """
 
     def __init__(self, lag: Lagrangian, u: float, ts: np.ndarray, ys: np.ndarray):
@@ -148,18 +154,18 @@ class _Iterate:
         # per term: base points, scaled y slot, scaled v slot, step weights
         with np.errstate(all="ignore"):  # a checked read reports what overflows
             steps = ts[1:] - ts[:-1]
-            slopes = (ys[1:] - ys[:-1]) / steps
-            self.args = ts[self._base], u * ys[self._shift], u * slopes, steps
-        self._values: dict[str, np.ndarray] = {}  # by name: "L", "dL_dy", "dL_dv"
+            tA, Y, V = ts[self._base], u * ys[self._shift], u * ((ys[1:] - ys[:-1]) / steps)
+            self.args = tA, Y, V, steps
+            self._values = dict(zip(("L", "dL_dy", "dL_dv"), lag.first_order(tA, Y, V)))
         self._checked: set[str] = set()
+        self._residual: np.ndarray | None = None
+        self._functional: float | None = None
 
-    def values(self, name: str, checked: bool = True) -> np.ndarray:
-        tA, Y, V, _ = self.args
-        vals = self._values.get(name)
-        if vals is None:
-            vals = self._values[name] = evaluate_array(getattr(self.lag, name), tA, Y, V)
+    def values(self, name: str, checked: bool = True) -> np.ndarray | float:
+        """The values of "L", "dL_dy" or "dL_dv" at every term."""
+        vals = self._values[name]
         if checked and name not in self._checked:
-            raise_if_singular(vals, tA, Y, V)
+            raise_if_singular(vals, *self.args[:3])
             self._checked.add(name)
         return vals
 
@@ -167,12 +173,16 @@ class _Iterate:
         # numpy's sum while it is finite, else the exact sum of finite values,
         # so an overflow gives inf as delta_integral reports it; an unchecked
         # non-finite value gives inf or nan, which no convergence test accepts
-        vals = self.values("L", checked)
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(np.sum(vals * self.args[3]))
-            if not math.isfinite(total) and np.isfinite(vals).all():
-                total = exact_rectangle_sum(vals, self.ts)
-            return self.u * total
+        if checked and "L" not in self._checked:
+            self.values("L")
+        if self._functional is None:
+            vals, wts = self._values["L"], self.args[3]
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = float(np.sum(vals * wts))
+                if not math.isfinite(total) and np.isfinite(vals).all():
+                    total = exact_rectangle_sum(np.broadcast_to(vals, wts.shape), self.ts)
+                self._functional = self.u * total
+        return self._functional
 
     def grad(self, checked: bool = True) -> np.ndarray:
         """Gradient of the discretized functional with respect to interior
@@ -181,37 +191,53 @@ class _Iterate:
         p3 = self.values("dL_dv", checked)
         u, wts, own, other = self.u, self.args[3], self._base, self._shift
         with np.errstate(all="ignore"):  # the Newton step's check reports it
-            return u * u * self._minus(self._plus(wts[own] * p2[own], p3[own]), p3[other])
+            return u * u * self._minus(self._plus(wts[own] * _at(p2, own), _at(p3, own)),
+                                       _at(p3, other))
 
     def hess(self) -> tuple[np.ndarray, np.ndarray]:
         """Tridiagonal Hessian of the discretized functional as its two
         bands: the diagonal (m values) and the symmetric off-diagonal
         (m - 1 values)."""
         tA, Y, V, wts = self.args
-        A, B, C = (raise_if_singular(evaluate_array(e, tA, Y, V), tA, Y, V)
-                   for e in self.lag.second_partials)
         own, other = self._base, self._shift
         with np.errstate(all="ignore"):  # the Newton step's check reports it
+            A, B, C = (raise_if_singular(p, tA, Y, V)
+                       for p in self.lag.second_order(tA, Y, V))
             cw = C / wts
-            diag = self.u ** 3 * (self._plus(wts[own] * A[own], 2.0 * B[own])
+            diag = self.u ** 3 * (self._plus(wts[own] * _at(A, own), 2.0 * _at(B, own))
                                   + cw[own] + cw[other])
             # for u < 0, -|u|^3 is u^3 bit for bit: an odd power of -x is -(x^3)
-            off = -abs(self.u) ** 3 * self._plus(B[1:-1], cw[1:-1])
+            off = -abs(self.u) ** 3 * self._plus(_at(B, slice(1, -1)), cw[1:-1])
         return diag, off
 
     def residual(self) -> np.ndarray:
         """Stationarity residual at every point where the shifted indices
         exist, the grid points `kept`: indices 0..N-3 for u > 0, and 2..N-1
         for u < 0."""
-        p2 = self.values("dL_dy")
-        g = self.values("dL_dv")
-        with np.errstate(all="ignore"):  # an overflow reads as inf
-            return self.u * ((g[1:] - g[:-1]) / self.args[3][self._base] - p2[self._base])
+        if self._residual is None:
+            p2 = self.values("dL_dy")
+            g = self.values("dL_dv")
+            with np.errstate(all="ignore"):  # an overflow reads as inf
+                self._residual = self.u * ((_at(g, slice(1, None)) - _at(g, slice(None, -1)))
+                                           / self.args[3][self._base]
+                                           - _at(p2, self._base))
+        return self._residual
 
     def interior(self) -> np.ndarray:
         """The residual on the doubly truncated interior, grid indices
         2..N-3."""
         return self.residual()[self._inner]
+
+    def cut(self) -> "_Iterate":
+        """This record with only the residual and functional it has
+        computed, as the public checks read them of a solution."""
+        self.args = self._values = None  # type: ignore[assignment]
+        return self
+
+
+def _at(p: np.ndarray | float, where: slice) -> np.ndarray | float:
+    """A partial's values at the terms where: a constant's is its scalar."""
+    return p[where] if isinstance(p, np.ndarray) else p
 
 
 _SINGULAR = "Newton matrix is singular at the current iterate"
@@ -399,9 +425,7 @@ def _interior_residual(problem: Problem, at: _Iterate, y: GridFunction,
     res = at.interior()
     if lam is None:
         return res
-    ts = problem.discretized().points
-    res_g = _Iterate(problem.G, problem.w, ts, y.values).interior()
-    return lam0 * res - lam * res_g
+    return lam0 * res - lam * _record(problem, y, constraint=True).interior()
 
 
 def _missed_ends(problem: Problem, y: GridFunction) -> tuple[float, float] | None:
@@ -423,7 +447,38 @@ def _opened(problem: Problem, y: GridFunction, boundaries: bool = True) -> _Iter
         raise BoundaryMismatchError(
             f"boundary values {missed!r} do not match "
             f"the prescribed ({problem.alpha!r}, {problem.beta!r})")
-    return _Iterate(problem.L, problem.u, ts, y.values)
+    return _record(problem, y)
+
+
+# a public check gets only the trajectory, so the Solutions whose records it
+# may read are found by their trajectory's identity; an entry goes when its
+# Solution does
+_SOLVED: weakref.WeakValueDictionary[int, Solution] = weakref.WeakValueDictionary()
+
+
+def _solution(problem: Problem, ys: np.ndarray, records: tuple[_Iterate, _Iterate | None],
+              **figures) -> Solution:
+    """The Solution with trajectory ys and the given figures, keeping the
+    solver's last records (under L and G, or None) cut down to what the
+    public checks read."""
+    cut = tuple(None if at is None else at.cut() for at in records)
+    sol = Solution(y=GridFunction(problem.discretized(), ys), **figures,
+                   _solved=(problem, ys, cut))
+    _SOLVED[id(sol.y)] = sol
+    return sol
+
+
+def _record(problem: Problem, y: GridFunction, constraint: bool = False) -> _Iterate:
+    """y's record under problem.L, or with constraint under problem.G: the
+    solver's own when y is the trajectory of a live Solution of this very
+    problem and still holds the values solved, else a fresh one."""
+    sol = _SOLVED.get(id(y))
+    if sol is not None and sol.y is y:
+        solved, ys, records = sol._solved
+        if solved is problem and np.array_equal(ys, y.values) and records[constraint]:
+            return records[constraint]
+    lag, u = (problem.G, problem.w) if constraint else (problem.L, problem.u)
+    return _Iterate(lag, u, problem.discretized().points, y.values)
 
 
 # -- public operations ---------------------------------------------------------------
@@ -593,15 +648,11 @@ def solve(problem: Problem, tol: float = 1e-10, max_iter: int = 100) -> Solution
         [dy] = _solve_tridiagonal(*at.hess(), -g)
         return dy, 0.0
 
-    grid, ys, _, at, iterations = _newton(problem, tol, max_iter, system, step,
-                                          "stationarity")
+    _, ys, _, at, iterations = _newton(problem, tol, max_iter, system, step,
+                                       "stationarity")
     res = at.interior()
-    return Solution(
-        y=GridFunction(grid, ys),
-        functional_value=at.functional(),
-        residual_max=_interior_max(res),
-        iterations=iterations,
-    )
+    return _solution(problem, ys, (at, None), functional_value=at.functional(),
+                     residual_max=_interior_max(res), iterations=iterations)
 
 
 def _bordered_step(diag: np.ndarray, off: np.ndarray, gg: np.ndarray,
@@ -725,7 +776,7 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
                 f"constraint value is insensitive to the trajectory but "
                 f"misses its target by {cons_gap:.3e}")
 
-    grid, ys, lam_g, (at_l, at_g, _), iterations = _newton(
+    _, ys, lam_g, (at_l, at_g, _), iterations = _newton(
         iso, tol, max_iter, system, step, "system", stalled)
     res_g = at_g.interior()
     if _interior_max(res_g) <= tol:
@@ -735,12 +786,6 @@ def solve_iso(iso: IsoProblem, tol: float = 1e-10, max_iter: int = 100) -> Solut
         # residual convention, which differs by the factor w/u
         lam0, lam_out, normal = 1.0, lam_g * w / u, True
     res = lam0 * at_l.interior() - lam_out * res_g
-    return Solution(
-        y=GridFunction(grid, ys),
-        functional_value=at_l.functional(),
-        residual_max=_interior_max(res),
-        iterations=iterations,
-        lam=lam_out,
-        lam0=lam0,
-        normal_flag=normal,
-    )
+    return _solution(iso, ys, (at_l, at_g), functional_value=at_l.functional(),
+                     residual_max=_interior_max(res), iterations=iterations,
+                     lam=lam_out, lam0=lam0, normal_flag=normal)

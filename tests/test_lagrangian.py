@@ -380,3 +380,88 @@ class TestLagrangian:
         L_yy, L_yv, L_vv = lag.second_partials
         assert [evaluate(e, 0.0, 0.0, 3.0) for e in (L_yy, L_yv, L_vv)] == [1.0, 6.0, 0.0]
         assert lag.second_partials[0] is L_yy
+
+
+# -- programs ----------------------------------------------------------------------
+
+def _text(inner):
+    """One more level of the grammar around inner expressions."""
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(
+            lambda p: f"({p[0]}) {p[1]} ({p[2]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "log", "sqrt"]), inner).map(
+            lambda p: f"{p[0]}({p[1]})"),
+        inner.map(lambda s: f"-({s})"),
+    )
+
+
+# expressions of the grammar, with numbers that fold to 0, -0, a subnormal,
+# the largest floats and inf
+GRAMMAR = st.recursive(
+    st.sampled_from(["t", "y", "v", "0", "1", "2", "0.5", "3.25", "1e308", "1e999",
+                     "5e-324", "1e-310"]),
+    _text, max_leaves=10)
+SPECIAL = [0.0, -0.0, 1.0, -1.5, 0.3, 2.0, 5e-324, 1e308, -1e308,
+           math.inf, -math.inf, math.nan]
+
+
+class TestProgram:
+    """A Lagrangian's two programs give the tree walker's values bit for bit,
+    and run each distinct subexpression once."""
+
+    @staticmethod
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.int64)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=GRAMMAR, points=st.lists(st.tuples(*[st.sampled_from(SPECIAL)] * 3),
+                                         min_size=1, max_size=6))
+    @example(text="3", points=[(0.0, 0.0, 0.0)])  # a constant
+    @example(text="-0 + 0*y", points=[(0.0, 0.0, 0.0)])  # -0.0
+    @example(text="1/0 + log(0)*v", points=[(1.0, 2.0, 3.0)])  # nan, inf, -inf
+    @example(text="sqrt(-1) + y/t", points=[(0.0, -0.0, 1.0), (-0.0, 1.0, 2.0)])
+    def test_programs_are_the_tree_walker(self, text, points):
+        from tsvar.lagrangian import _ev_arr
+
+        lag = Lagrangian.from_text(text)
+        t, y, v = (np.array(column) for column in zip(*points))
+        for program, exprs in ((lag.first_order, (lag.L, lag.dL_dy, lag.dL_dv)),
+                               (lag.second_order, lag.second_partials)):
+            with np.errstate(all="ignore"):
+                got = program(t, y, v)
+                want = [_ev_arr(e, t, y, v) for e in exprs]
+            for g, w in zip(got, want):
+                # a constant stays a scalar, as in the tree walk
+                assert isinstance(g, np.ndarray) == isinstance(w, np.ndarray)
+                assert np.array_equal(self.bits(g), self.bits(w))
+
+    def test_quotient_chain_runs_each_distinct_subexpression_once(self):
+        from tsvar.lagrangian import _ev_arr
+
+        lag = Lagrangian.from_text("/".join(["(1+y)"] * MAX_DEPTH))
+        # value numbering: a node's number is that of its operation and its
+        # operands' numbers, so equal subexpressions share one
+        numbers = {}
+        memo = {}
+
+        def number(e):
+            if id(e) not in memo:
+                if isinstance(e, BinOp):
+                    key = (e.op, number(e.left), number(e.right))
+                elif isinstance(e, (Call, Neg)):
+                    key = (getattr(e, "func", "neg"), number(e.arg))
+                else:  # a leaf, which takes no operation
+                    key = ("leaf", repr(e), math.copysign(1.0, getattr(e, "value", 1.0)))
+                memo[id(e)] = numbers.setdefault(key, len(numbers))
+            return memo[id(e)]
+
+        for e in lag.second_partials:
+            number(e)
+        operations = sum(key[0] != "leaf" for key in numbers)
+        assert len(lag.second_order) <= operations
+        ts = np.linspace(0.1, 0.9, 7)
+        with np.errstate(all="ignore"):
+            got = lag.second_order(ts, ts, ts)
+            want = [_ev_arr(e, ts, ts, ts) for e in lag.second_partials]
+        for g, w in zip(got, want):
+            assert np.array_equal(self.bits(g), self.bits(w))

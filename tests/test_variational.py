@@ -716,19 +716,20 @@ class TestIterateReuse:
                 assert a.lam == pytest.approx(b.lam, abs=tol * max(1.0, abs(b.lam)))
 
     @pytest.fixture
-    def evaluations(self, monkeypatch):
-        """Every expression evaluation the solvers make, as (expression,
-        arguments) keys."""
-        from tsvar import variational
+    def runs(self, monkeypatch):
+        """Every program run, as (program, arguments) keys: an integrand's
+        value and first partials run as one program, its second partials as
+        another."""
+        from tsvar.lagrangian import Program
 
         seen = []
-        real = variational.evaluate_array
+        real = Program.__call__
 
-        def spy(e, t, y, v):
-            seen.append((id(e), t.tobytes(), y.tobytes(), v.tobytes()))
-            return real(e, t, y, v)
+        def spy(program, t, y, v):
+            seen.append((id(program), t.tobytes(), y.tobytes(), v.tobytes()))
+            return real(program, t, y, v)
 
-        monkeypatch.setattr(variational, "evaluate_array", spy)
+        monkeypatch.setattr(Program, "__call__", spy)
         return seen
 
     @pytest.fixture
@@ -745,29 +746,77 @@ class TestIterateReuse:
         monkeypatch.setattr(variational, "_moved", spy)
         return made
 
-    def test_solve_evaluates_once_per_iterate(self, evaluations, trials):
+    def test_solve_evaluates_once_per_iterate(self, runs, trials):
         p = self.problems(h=1 / 300)[0]
         sol = solve(p)
-        # the gradient's two partials at the start and at every trial, the
-        # Hessian's three at every accepted iterate that takes a step, and
-        # L once for the functional value
+        # the first-order program at the start and at every trial, which
+        # also gives the functional value, and the second-order one at every
+        # accepted iterate that takes a step
         assert sol.iterations >= 3
-        assert len(evaluations) == 2 * (1 + len(trials)) + 3 * sol.iterations + 1
-        assert len(set(evaluations)) == len(evaluations)
+        assert len(runs) == (1 + len(trials)) + sol.iterations
+        assert len(set(runs)) == len(runs)
 
-    def test_one_step_solve_makes_eight_evaluations(self, evaluations, trials):
+    def test_one_step_solve_makes_three_program_runs(self, runs, trials):
         sol = solve(classical(L=Lagrangian.from_text("v^2 + y^2"), h=0.01))
-        assert (sol.iterations, len(trials), len(evaluations)) == (1, 1, 8)
+        assert (sol.iterations, len(trials), len(runs)) == (1, 1, 3)
 
-    def test_solve_iso_evaluates_once_per_iterate(self, evaluations, trials):
-        # five per iterate (two partials of each integrand and the constraint
-        # value), six second partials per step, and L once
+    def test_solve_iso_evaluates_once_per_iterate(self, runs, trials):
+        # the first-order programs of both integrands per iterate, which also
+        # give the constraint value, and both second-order ones per step
         for iso in self.iso_problems(h=1 / 300):
-            evaluations.clear()
+            runs.clear()
             trials.clear()
             sol = solve_iso(iso)
-            assert len(evaluations) == 5 * (1 + len(trials)) + 6 * sol.iterations + 1
-            assert len(set(evaluations)) == len(evaluations)
+            assert len(runs) == 2 * (1 + len(trials)) + 2 * sol.iterations
+            assert len(set(runs)) == len(runs)
+
+    @staticmethod
+    def checks(p, y, lams=()):
+        """Every public check of y, as plain values."""
+        report = verify(p, y, 1e-8, *lams)
+        return (functional_value(p, y), el_residual(p, y).values.tobytes(),
+                residual_column(p, y, *lams), report.residual_max,
+                report.functional_value, report.passed)
+
+    def test_checks_on_the_solution_run_no_program(self, runs):
+        # verify, residual_column, el_residual and functional_value read the
+        # solver's last record when they get its own trajectory, sol.y, on
+        # the problem solved, with or without the multipliers; an equal copy
+        # of y is evaluated afresh, to the same bits
+        for p in self.problems(h=1 / 300) + self.iso_problems(h=1 / 300):
+            iso = isinstance(p, IsoProblem)
+            sol = solve_iso(p) if iso else solve(p)
+            lams = [(), (sol.lam0, sol.lam)] if iso else [()]
+            for pair in lams:
+                runs.clear()
+                got = self.checks(p, sol.y, pair)
+                assert runs == []
+                copy = GridFunction(sol.y.grid, sol.y.values)
+                assert self.checks(p, copy, pair) == got
+                # one record under L per check, and one under G for each
+                # of the two that take the multipliers
+                assert len(runs) == (6 if pair else 4)
+
+    def test_other_trajectories_and_problems_are_evaluated_afresh(self, runs):
+        p = self.iso_problems(h=1 / 300)[1]
+        sol = solve_iso(p)
+        pair = (sol.lam0, sol.lam)
+        # another problem on the same grid, equal to the one solved
+        twin = IsoProblem(scale=p.scale, u=p.u, L=p.L, alpha=p.alpha, beta=p.beta,
+                          h=p.h, G=p.G, w=p.w, K=p.K)
+        runs.clear()
+        assert self.checks(twin, sol.y, pair) == self.checks(p, sol.y, pair)
+        assert len(runs) == 6
+        # the trajectory changed in place after the solve
+        y = sol.y.values
+        y.flags.writeable = True
+        y[3] += 0.25
+        y.flags.writeable = False
+        runs.clear()
+        got = self.checks(p, sol.y, pair)
+        assert len(runs) == 6
+        assert got == self.checks(p, GridFunction(sol.y.grid, y), pair)
+        assert got[0] != sol.functional_value
 
     def test_public_checks_are_bitwise_fresh_records(self):
         # verify, functional_value, el_residual and residual_column read one
@@ -839,6 +888,18 @@ class TestIterateReuse:
         # the affine start's last slope is 1, where the log is finite
         assert str(got.value).startswith(
             "cannot evaluate expression at t=0.9, y=0.0, v=-")
+
+    def test_constant_singular_partial_names_the_first_term(self):
+        # L_y is the constant log(0) = -inf, which the record keeps as a
+        # scalar; the check names the first term, as evaluate does
+        from tsvar.errors import EvaluationError
+
+        p = classical(L=Lagrangian.from_text("v^2 + y*log(0)"), h=0.25)
+        with pytest.raises(EvaluationError) as got:
+            solve(p)
+        with pytest.raises(EvaluationError) as want:
+            evaluate(p.L.dL_dy, 0.0, 0.25, 1.0)
+        assert str(got.value) == str(want.value)
 
 
 class TestScipyFree:
