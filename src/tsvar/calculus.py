@@ -10,8 +10,9 @@ whenever the grid is the whole scale.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
@@ -180,14 +181,17 @@ def nabla_integral(f: GridFunction, c: float, d: float) -> float:
 
 def write_rows(stream: TextIO, fmt: str, columns: Sequence[Sequence[float]],
                start: int, stop: int) -> None:
-    """Write rows start..stop-1 of the columns (arrays or lists), one
-    `fmt % row` each. Rows are formatted and written a chunk at a time, so
-    the text of a fine grid is never held whole."""
+    """Write rows start..stop-1 of the columns (arrays or lists), each as
+    `fmt % row`. Rows are formatted and written a chunk at a time, one `%`
+    over the chunk's interleaved cells, so the text of a fine grid is never
+    held whole."""
+    k = len(columns)
     for i in range(start, stop, CSV_CHUNK):
         j = min(i + CSV_CHUNK, stop)
-        rows = zip(*[c[i:j].tolist() if isinstance(c, np.ndarray) else c[i:j]
-                     for c in columns])
-        stream.write("".join(map(fmt.__mod__, rows)))
+        cells = [None] * (k * (j - i))
+        for q, c in enumerate(columns):
+            cells[q::k] = c[i:j].tolist() if isinstance(c, np.ndarray) else c[i:j]
+        stream.write((fmt * (j - i)) % tuple(cells))
 
 
 def write_grid_csv(f: GridFunction, stream: TextIO) -> None:
@@ -230,15 +234,24 @@ def read_grid_csv(stream: Iterable[str], scale: TimeScale | None = None) -> Grid
 def _parse_rows(block: list[str], lineno: int) -> np.ndarray:
     """The numbers on a chunk of CSV lines that starts at line lineno, as
     t0, value0, t1, value1, ...; blank lines are skipped."""
-    if list(map(str.count, block, repeat(","))).count(1) == len(block):
-        # one comma a line, so splitting the joined lines gives each line's
-        # two cells; numpy converts a str cell with float(), whitespace
-        # around it included
+    # numpy's row reader converts each cell as float() does, except that it
+    # also strips the separators \x1c-\x1f around a cell, which float()
+    # rejects; max_rows keeps its buffers near the chunk's size
+    text = "".join(block)
+    if not ("\x1c" in text or "\x1d" in text or "\x1e" in text or "\x1f" in text):
         try:
-            return np.array(",".join(block).split(","), dtype=float)
+            with warnings.catch_warnings():
+                # a warning for each blank line, which numpy skips as the
+                # loop below does
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(block, delimiter=",", comments=None, ndmin=2,
+                                  max_rows=len(block))
         except ValueError:
             pass
-    # a blank line, a line without exactly two fields or a cell that is not
+        else:
+            if rows.shape[1] == 2:
+                return rows.ravel()
+    # a separator, a line without exactly two fields or a cell that is not
     # a number: line by line, so the first error in line order is reported
     numbers: list[float] = []
     for k, raw in enumerate(block, start=lineno):

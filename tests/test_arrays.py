@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_discretize, reference_read_grid_csv, scales
@@ -82,11 +82,12 @@ class TestDiscretizeMatchesLoop:
         assert _same_bits(grid.points, pts)
 
 
-def _outcome(read, text: str, scale):
-    """What a reader makes of text: its points, flags and values, or the
+def _outcome(read, text: str, scale, newline: str):
+    """What a reader makes of text, split into lines as by
+    io.StringIO(text, newline=newline): its points, flags and values, or the
     type, message and line of its error."""
     try:
-        got = read(io.StringIO(text), scale)
+        got = read(io.StringIO(text, newline=newline), scale)
     except (InputFormatError, DomainError, ParameterError) as err:
         return type(err), str(err), getattr(err, "line", None)
     if isinstance(got, GridFunction):
@@ -94,21 +95,31 @@ def _outcome(read, text: str, scale):
     return got
 
 
-def _check_reader(text: str, scale, chunk: int) -> None:
+def _check_reader(text: str, scale, chunk: int, newline: str = "\n") -> None:
     with mock.patch.object(calculus, "CSV_CHUNK", chunk):
-        got = _outcome(read_grid_csv, text, scale)
-    ref = _outcome(reference_read_grid_csv, text, scale)
+        got = _outcome(read_grid_csv, text, scale, newline)
+    ref = _outcome(reference_read_grid_csv, text, scale, newline)
     assert got == ref
     if isinstance(got[0], list):
         assert _same_bits(got[0], ref[0]) and _same_bits(got[2], ref[2])
 
 
-CELLS = st.one_of(
+NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.integers(min_value=-5, max_value=5).map(str),
+)
+# numpy's row reader strips the separators \x1c-\x1f around a cell, and
+# float() rejects them
+SEPARATED = st.builds(lambda cell, sep, before: sep + cell if before else cell + sep,
+                      NUMBERS, st.sampled_from("\x1c\x1d\x1e\x1f"), st.booleans())
+CELLS = st.one_of(
+    NUMBERS,
+    SEPARATED,
     st.sampled_from(["x", "", " ", "1_0", "1__0", " 2 ", "\t3\t", "1e400", "nan", "-inf",
                      "Infinity", "0x10", "١٢", "+-1", ".5", "5.", "1e", "-0",
-                     "0.1 ", "1 2"]),
+                     "0.1 ", "1 2", "1\x1d", "\x1c2", "\x1e",
+                     # a quote, a comment sign, a NUL and a lone carriage return
+                     '"1"', "#1", "1\x00", "\r", "1\r", "\r2"]),
 )
 ROWS = st.one_of(
     st.tuples(CELLS, CELLS).map(",".join),
@@ -142,10 +153,16 @@ class TestReadMatchesLoop:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(ROWS, max_size=8), st.sampled_from(["\n", "\r\n"]),
            st.booleans(), st.sampled_from([1, 2, 3, 5, 8192]))
+    # a blank line makes numpy's row reader warn
+    @example(rows=["", "0.0,0.0,0.0"], end="\n", final_newline=False, chunk=2)
+    # numpy's row reader would read this line as 1, 2
+    @example(rows=["0,1", "1\x1d,2"], end="\n", final_newline=True, chunk=8192)
     def test_random_lines(self, rows, end, final_newline, chunk):
         text = "t,value\n" + end.join(rows) + (end if final_newline else "")
-        _check_reader(text, None, chunk)
-        _check_reader(text, TimeScale.of_points(0.0, 1.0), chunk)
+        # a lone \r stays inside a line, and with newline="" it ends one
+        for newline in ("\n", ""):
+            _check_reader(text, None, chunk, newline)
+            _check_reader(text, TimeScale.of_points(0.0, 1.0), chunk, newline)
 
     @settings(max_examples=200, deadline=None)
     @given(scales(), st.floats(min_value=0.05, max_value=1.0), st.data())
@@ -173,6 +190,49 @@ class TestReadMatchesLoop:
         chunk = data.draw(st.sampled_from([1, 2, 3, 8192]))
         _check_reader(text, None, chunk)
         _check_reader(text, scale, chunk)
+
+
+# the corners of %.17g: signed zero, the least subnormal, the greatest float
+EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, -3.0]
+
+
+def _columns(k: int, n: int, as_array: bool) -> list:
+    cols = [[EDGE_VALUES[(q + 2 * r) % len(EDGE_VALUES)] for r in range(n)] for q in range(k)]
+    return [np.array(c) for c in cols] if as_array else cols
+
+
+class TestWriteMatchesRows:
+    """The writers against one `%` per row, the form they replaced."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, calculus.CSV_CHUNK])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("as_array", [True, False])
+    def test_write_rows(self, chunk, k, as_array):
+        n = 11
+        cols = _columns(k, n, as_array)
+        fmt = ",".join(["%.17g"] * k) + "\n"
+        rows = list(zip(*[c.tolist() if as_array else c for c in cols]))
+        for start, stop in [(0, n), (0, 0), (3, 4), (2, 9), (n, n)]:
+            buf = io.StringIO()
+            with mock.patch.object(calculus, "CSV_CHUNK", chunk):
+                calculus.write_rows(buf, fmt, cols, start, stop)
+            assert buf.getvalue() == "".join(fmt % row for row in rows[start:stop])
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, calculus.CSV_CHUNK])
+    @pytest.mark.parametrize("k", [1, 2])
+    # up to 6 rows, where the empty edge rows meet; 10 rows take every value
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 10])
+    def test_with_residual(self, chunk, k, n):
+        cols = _columns(k, n, as_array=True)
+        special = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308]
+        col = [None if r < 2 or r >= n - 2 else special[r - 2] for r in range(n)]
+        buf = io.StringIO()
+        with mock.patch.object(calculus, "CSV_CHUNK", chunk):
+            cli._write_with_residual(buf, cols, col)
+        want = "".join(
+            "".join("%.17g," % c[r] for c in cols) + ("" if x is None else "%.17g" % x) + "\n"
+            for r, x in enumerate(col))
+        assert buf.getvalue() == want
 
 
 class TestReadOnlyArrays:
@@ -254,3 +314,21 @@ def test_reader_memory_stays_bounded(tmp_path):
         tracemalloc.stop()
     assert len(f) == 200_001
     assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_writer_memory_stays_bounded(tmp_path):
+    """Writing a 200,001-row CSV (6.9 MB) to a file peaks well under the size
+    of its text in Python objects; a writer that held the whole text, or the
+    cells of every row at once, would exceed the bound."""
+    grid = TimeScale.interval(0.0, 2.0).discretize(1e-5)
+    f = GridFunction(grid, np.cos(grid.points))
+    path = tmp_path / "y.csv"
+    with open(path, "w") as fh:
+        tracemalloc.start()
+        try:
+            write_grid_csv(f, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert path.stat().st_size > 6 * 2**20
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -90,6 +90,8 @@ CASES = {
     "trailing_comma": ("t,value\n0,0\n0.25,0.0625,\n",
                        "line 3: expected two comma-separated fields"),
     "not_a_number": ("t,value\n0,0\n0.25,x\n", "line 3: not a number in '0.25,x'"),
+    # float() rejects a separator \x1c-\x1f that numpy would strip
+    "separator": ("t,value\n0,1\n1\x1d,2\n", "line 3: not a number in '1\\x1d,2'"),
     # the first error in line order wins, whatever its kind
     "number_before_fields": ("t,value\n0,0\n0.25,x\n0.5\n",
                              "line 3: not a number in '0.25,x'"),
