@@ -217,7 +217,8 @@ def reference_solve(problem, tol: float = 1e-10, max_iter: int = 100):
     functional value packs and evaluates its own arguments in a fresh
     record."""
     from tsvar import GridFunction, Solution
-    from tsvar.variational import _interior_max, _Iterate, _newton, _solve_tridiagonal
+    from tsvar.banded import solve_tridiagonal
+    from tsvar.variational import _interior_max, _Iterate, _newton
 
     lag, u = problem.L, problem.u
     ts = problem.discretized().points
@@ -226,14 +227,13 @@ def reference_solve(problem, tol: float = 1e-10, max_iter: int = 100):
         return z, _Iterate(lag, u, ts, z).grad(checked)
 
     def step(z, g, lam):
-        [dy] = _solve_tridiagonal(*_Iterate(lag, u, ts, z).hess(), -g)
-        return dy, 0.0
+        return solve_tridiagonal(*_Iterate(lag, u, ts, z).hess(), -g), 0.0
 
-    grid, ys, _, _, iterations = _newton(problem, tol, max_iter, system, step,
-                                         "stationarity")
+    ys, _, _, iterations = _newton(problem, tol, max_iter, system, step,
+                                   "stationarity")
     res = _Iterate(lag, u, ts, ys).interior()
     return Solution(
-        y=GridFunction(grid, ys),
+        y=GridFunction(problem.discretized(), ys),
         functional_value=_Iterate(lag, u, ts, ys).functional(),
         residual_max=_interior_max(res),
         iterations=iterations,
@@ -243,7 +243,8 @@ def reference_solve(problem, tol: float = 1e-10, max_iter: int = 100):
 def reference_solve_iso(iso, tol: float = 1e-10, max_iter: int = 100):
     """solve_iso with one call per figure, as reference_solve."""
     from tsvar import GridFunction, Solution
-    from tsvar.variational import _bordered_step, _interior_max, _Iterate, _newton
+    from tsvar.banded import bordered_step
+    from tsvar.variational import _interior_max, _Iterate, _newton
 
     u, w = iso.u, iso.w
     ts = iso.discretized().points
@@ -258,9 +259,9 @@ def reference_solve_iso(iso, tol: float = 1e-10, max_iter: int = 100):
         gg = _Iterate(iso.G, w, ts, z).grad()
         diag_l, off_l = _Iterate(iso.L, u, ts, z).hess()
         diag_g, off_g = _Iterate(iso.G, w, ts, z).hess()
-        return _bordered_step(diag_l - lam * diag_g, off_l - lam * off_g, gg, phi)
+        return bordered_step(diag_l - lam * diag_g, off_l - lam * off_g, gg, phi)
 
-    grid, ys, lam_g, _, iterations = _newton(iso, tol, max_iter, system, step, "system")
+    ys, lam_g, _, iterations = _newton(iso, tol, max_iter, system, step, "system")
     res_g = _Iterate(iso.G, w, ts, ys).interior()
     if _interior_max(res_g) <= tol:
         lam0, lam_out, normal = 0.0, 1.0, False
@@ -269,7 +270,7 @@ def reference_solve_iso(iso, tol: float = 1e-10, max_iter: int = 100):
     res = (lam0 * _Iterate(iso.L, u, ts, ys).interior()
            - lam_out * _Iterate(iso.G, w, ts, ys).interior())
     return Solution(
-        y=GridFunction(grid, ys),
+        y=GridFunction(iso.discretized(), ys),
         functional_value=_Iterate(iso.L, u, ts, ys).functional(),
         residual_max=_interior_max(res),
         iterations=iterations,
