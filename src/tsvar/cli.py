@@ -46,7 +46,7 @@ from .variational import (
     IsoProblem,
     Problem,
     Solution,
-    residual_column,
+    interior_residual,
     solve,
     solve_iso,
 )
@@ -191,22 +191,23 @@ def _load_scale(arg: str) -> TimeScale:
 
 # -- output helpers ----------------------------------------------------------------
 
-def _write_with_residual(out: TextIO, columns: list, col: list[float | None]) -> None:
-    """One row per grid point: the columns, then the residual column col,
-    which is empty where it is None, on the first and the last two rows."""
-    n = len(col)
+def _write_with_residual(out: TextIO, columns: list, res) -> None:
+    """One row per grid point: the columns, then the residual res (an array
+    or a list) on the rows 2..n-3, as interior_residual gives it; the
+    residual cell is empty on the first and the last two rows."""
+    n = len(columns[0])
     lo = min(2, n)
-    hi = max(lo, n - 2)  # col holds floats on rows lo..hi-1
+    hi = max(lo, n - 2)
     edge = "%.17g," * len(columns) + "\n"
     write_rows(out, edge, columns, 0, lo)
-    write_rows(out, edge[:-1] + "%.17g\n", columns + [col], lo, hi)
+    write_rows(out, edge[:-1] + "%.17g\n", [c[lo:hi] for c in columns] + [res], 0, hi - lo)
     write_rows(out, edge, columns, hi, n)
 
 
 def _write_solution_csv(problem: Problem, sol: Solution, out: TextIO) -> None:
-    col = residual_column(problem, sol.y, lam0=sol.lam0, lam=sol.lam)
+    res = interior_residual(problem, sol.y, lam0=sol.lam0, lam=sol.lam)
     out.write("t,y,residual\n")
-    _write_with_residual(out, [sol.y.grid.points, sol.y.values], col)
+    _write_with_residual(out, [sol.y.grid.points, sol.y.values], res)
 
 
 def _summary(sol: Solution) -> str:
@@ -251,7 +252,7 @@ def _cmd_residual(ns: argparse.Namespace) -> int:
     # before the output is formatted; the problem keeps the grid it checked
     with open(ns.y, encoding="utf-8") as fh:
         try:
-            col = residual_column(problem, read_grid_csv(fh), enforce_boundaries=False)
+            res = interior_residual(problem, read_grid_csv(fh), enforce_boundaries=False)
         except GridMismatchError as err:
             raise GridMismatchError(
                 f"trajectory CSV has {err.points} points but the discretized "
@@ -259,7 +260,7 @@ def _cmd_residual(ns: argparse.Namespace) -> int:
                 "exactly") from None
     with _csv_out(ns.out) as fh:
         fh.write("t,residual\n")
-        _write_with_residual(fh, [problem.discretized().points], col)
+        _write_with_residual(fh, [problem.discretized().points], res)
     return 0
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "functional_value",
     "el_residual",
     "residual_column",
+    "interior_residual",
     "solve",
     "solve_iso",
     "verify",
@@ -332,6 +333,16 @@ def el_residual(problem: Problem, y: GridFunction) -> GridFunction:
                         at.residual())
 
 
+def interior_residual(problem: Problem, y: GridFunction,
+                      lam0: float | None = None, lam: float | None = None,
+                      enforce_boundaries: bool = True) -> np.ndarray:
+    """residual_column's values, on the rows 2..n-3 of the grid, as a float
+    array."""
+    # the record is freed on return, before the caller formats the array
+    return _interior_residual(problem, _opened(problem, y, enforce_boundaries),
+                              y, lam0, lam)
+
+
 def residual_column(problem: Problem, y: GridFunction,
                     lam0: float | None = None, lam: float | None = None,
                     enforce_boundaries: bool = True) -> list[float | None]:
@@ -339,9 +350,7 @@ def residual_column(problem: Problem, y: GridFunction,
     interior, None elsewhere. With the multiplier pair the column is the
     combined residual lam0 * (L side) - lam * (constraint side); a lone
     multiplier raises ParameterError."""
-    # the record is dropped before the list is built
-    res = _interior_residual(problem, _opened(problem, y, enforce_boundaries),
-                             y, lam0, lam)
+    res = interior_residual(problem, y, lam0, lam, enforce_boundaries)
     n = len(y)
     col: list[float | None] = [None] * n
     col[2:n - 2] = res.tolist()

@@ -202,7 +202,11 @@ def _columns(k: int, n: int, as_array: bool) -> list:
 
 
 class TestWriteMatchesRows:
-    """The writers against one `%` per row, the form they replaced."""
+    """The writers against one `%` per row, the form they replaced. Each case
+    runs with the row threshold at 1, where every chunk of %.17g cells takes
+    g17.format_rows, and at its default, where chunks this small take `%`."""
+
+    THRESHOLDS = [1, calculus.G17_MIN_ROWS]
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, calculus.CSV_CHUNK])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -212,27 +216,36 @@ class TestWriteMatchesRows:
         cols = _columns(k, n, as_array)
         fmt = ",".join(["%.17g"] * k) + "\n"
         rows = list(zip(*[c.tolist() if as_array else c for c in cols]))
-        for start, stop in [(0, n), (0, 0), (3, 4), (2, 9), (n, n)]:
-            buf = io.StringIO()
-            with mock.patch.object(calculus, "CSV_CHUNK", chunk):
-                calculus.write_rows(buf, fmt, cols, start, stop)
-            assert buf.getvalue() == "".join(fmt % row for row in rows[start:stop])
+        for threshold in self.THRESHOLDS:
+            for start, stop in [(0, n), (0, 0), (3, 4), (2, 9), (n, n)]:
+                buf = io.StringIO()
+                with mock.patch.object(calculus, "CSV_CHUNK", chunk), \
+                        mock.patch.object(calculus, "G17_MIN_ROWS", threshold):
+                    calculus.write_rows(buf, fmt, cols, start, stop)
+                assert buf.getvalue() == "".join(fmt % row for row in rows[start:stop])
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, calculus.CSV_CHUNK])
     @pytest.mark.parametrize("k", [1, 2])
     # up to 6 rows, where the empty edge rows meet; 10 rows take every value
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 10])
     def test_with_residual(self, chunk, k, n):
-        cols = _columns(k, n, as_array=True)
         special = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308]
         col = [None if r < 2 or r >= n - 2 else special[r - 2] for r in range(n)]
-        buf = io.StringIO()
-        with mock.patch.object(calculus, "CSV_CHUNK", chunk):
-            cli._write_with_residual(buf, cols, col)
-        want = "".join(
-            "".join("%.17g," % c[r] for c in cols) + ("" if x is None else "%.17g" % x) + "\n"
-            for r, x in enumerate(col))
-        assert buf.getvalue() == want
+        for threshold in self.THRESHOLDS:
+            for as_array in (True, False):
+                cols = _columns(k, n, as_array)
+                # the writer takes the residual on rows 2..n-3 alone
+                interior = col[2:n - 2]
+                buf = io.StringIO()
+                with mock.patch.object(calculus, "CSV_CHUNK", chunk), \
+                        mock.patch.object(calculus, "G17_MIN_ROWS", threshold):
+                    cli._write_with_residual(buf, cols,
+                                             np.array(interior) if as_array else interior)
+                want = "".join(
+                    "".join("%.17g," % c[r] for c in cols)
+                    + ("" if x is None else "%.17g" % x) + "\n"
+                    for r, x in enumerate(col))
+                assert buf.getvalue() == want
 
 
 class TestReadOnlyArrays:
