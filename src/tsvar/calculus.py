@@ -44,12 +44,6 @@ __all__ = [
 # a chunk's strings stay near a megabyte whatever the size of the file.
 CSV_CHUNK = 8192
 
-# The fewest rows in a chunk that g17.format_rows writes. It costs about
-# 0.1 ms a call and 150 ns a cell, `%` about 430 ns a cell, so they break
-# even near 350 cells: 170 rows of two columns and 120 of three, the row
-# formats the CLI writes (CHANGES.md has the timings).
-G17_MIN_ROWS = 256
-
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
@@ -186,40 +180,19 @@ def nabla_integral(f: GridFunction, c: float, d: float) -> float:
     return _rectangle_sum(vals[1:], pts)
 
 
-def write_rows(stream: TextIO, fmt: str, columns: Sequence[Sequence[float]],
-               start: int, stop: int) -> None:
-    """Write rows start..stop-1 of the columns (arrays or lists), each as
-    `fmt % row`. Rows are formatted and written a chunk at a time, so the
-    text of a fine grid is never held whole.
-
-    A chunk of at least G17_MIN_ROWS rows of floats goes to
-    g17.format_rows when every cell of fmt is %.17g, and every other one to
-    a single `%` over the chunk's interleaved cells; both give the same
-    text, and format_rows hands `%` each cell it cannot prove."""
-    k = len(columns)
-    seps = fmt.split("%.17g")
-    exact = (len(seps) == k + 1 > 1 and not seps[0]
-             and not any("%" in s or "\0" in s for s in seps))
-    for i in range(start, stop, CSV_CHUNK):
-        j = min(i + CSV_CHUNK, stop)
-        if exact and j - i >= G17_MIN_ROWS:
-            parts = [np.asarray(c[i:j]) for c in columns]
-            if all(part.dtype.kind == "f" for part in parts):
-                chunk = np.empty((j - i, k))
-                for q, part in enumerate(parts):
-                    chunk[:, q] = part
-                stream.write(format_rows(chunk, seps[1:]))
-                continue
-        cells = [None] * (k * (j - i))
-        for q, c in enumerate(columns):
-            cells[q::k] = c[i:j].tolist() if isinstance(c, np.ndarray) else c[i:j]
-        stream.write((fmt * (j - i)) % tuple(cells))
+def write_rows(stream: TextIO, columns: Sequence[np.ndarray], seps: list[str]) -> None:
+    """Write the rows of the columns, float arrays of one length, with each
+    cell as %.17g followed by its column's separator, through
+    g17.format_rows. Rows are formatted and written a chunk at a time, so
+    the text of a fine grid is never held whole."""
+    for i in range(0, len(columns[0]), CSV_CHUNK):
+        stream.write(format_rows(np.column_stack([c[i:i + CSV_CHUNK] for c in columns]), seps))
 
 
 def write_grid_csv(f: GridFunction, stream: TextIO) -> None:
     """Write the `t,value` CSV form with lossless 17-significant-digit floats."""
     stream.write("t,value\n")
-    write_rows(stream, "%.17g,%.17g\n", (f.grid.points, f.values), 0, len(f))
+    write_rows(stream, (f.grid.points, f.values), [",", "\n"])
 
 
 def read_grid_csv(stream: Iterable[str], scale: TimeScale | None = None) -> GridFunction:

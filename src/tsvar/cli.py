@@ -192,16 +192,17 @@ def _load_scale(arg: str) -> TimeScale:
 # -- output helpers ----------------------------------------------------------------
 
 def _write_with_residual(out: TextIO, columns: list, res) -> None:
-    """One row per grid point: the columns, then the residual res (an array
-    or a list) on the rows 2..n-3, as interior_residual gives it; the
-    residual cell is empty on the first and the last two rows."""
+    """One row per grid point: the columns, then the residual res on the
+    rows 2..n-3, as interior_residual gives it; the residual cell is empty
+    on the first and the last two rows. The columns and res are float
+    arrays."""
     n = len(columns[0])
     lo = min(2, n)
     hi = max(lo, n - 2)
-    edge = "%.17g," * len(columns) + "\n"
-    write_rows(out, edge, columns, 0, lo)
-    write_rows(out, edge[:-1] + "%.17g\n", [c[lo:hi] for c in columns] + [res], 0, hi - lo)
-    write_rows(out, edge, columns, hi, n)
+    edge = [","] * (len(columns) - 1) + [",\n"]
+    write_rows(out, [c[:lo] for c in columns], edge)
+    write_rows(out, [c[lo:hi] for c in columns] + [res], [","] * len(columns) + ["\n"])
+    write_rows(out, [c[hi:] for c in columns], edge)
 
 
 def _write_solution_csv(problem: Problem, sol: Solution, out: TextIO) -> None:

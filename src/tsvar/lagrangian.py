@@ -422,35 +422,25 @@ def evaluate_array(e: Expr, t: Any, y: Any, v: Any) -> np.ndarray:
     return out
 
 
+# the operation of each binary operator, which _ev_arr and Program both
+# apply, so a program's results are _ev_arr's bit for bit
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": np.divide, "^": np.power}
+
+
 def _ev_arr(e: Expr, t: Any, y: Any, v: Any) -> Any:
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
         return t if e.name == "t" else (y if e.name == "y" else v)
     if isinstance(e, Neg):
-        return -_ev_arr(e.arg, t, y, v)
+        return operator.neg(_ev_arr(e.arg, t, y, v))
     if isinstance(e, Call):
         return _NUMPY[e.func](_ev_arr(e.arg, t, y, v))
-    lv = _ev_arr(e.left, t, y, v)
-    rv = _ev_arr(e.right, t, y, v)
-    if e.op == "+":
-        return lv + rv
-    if e.op == "-":
-        return lv - rv
-    if e.op == "*":
-        return lv * rv
-    if e.op == "/":
-        return np.divide(lv, rv)
-    return np.power(lv, rv)
+    return _BINARY[e.op](_ev_arr(e.left, t, y, v), _ev_arr(e.right, t, y, v))
 
 
 # -- programs -------------------------------------------------------------------------
-
-# the operation _ev_arr applies for each operator, so a program's results
-# are _ev_arr's bit for bit
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": np.divide, "^": np.power}
-
 
 class Program:
     """Several expressions compiled into one straight-line program.

@@ -26,6 +26,7 @@ from tsvar import (
     TimeScale,
     calculus,
     cli,
+    g17,
     parse_timescale,
     read_grid_csv,
     write_grid_csv,
@@ -203,10 +204,10 @@ def _columns(k: int, n: int, as_array: bool) -> list:
 
 class TestWriteMatchesRows:
     """The writers against one `%` per row, the form they replaced. Each case
-    runs with the row threshold at 1, where every chunk of %.17g cells takes
-    g17.format_rows, and at its default, where chunks this small take `%`."""
+    runs with the cell threshold at 0, where every chunk takes g17's numpy
+    path, and at its default, where chunks this small take `%`."""
 
-    THRESHOLDS = [1, calculus.G17_MIN_ROWS]
+    THRESHOLDS = [0, g17._MIN_CELLS]
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, calculus.CSV_CHUNK])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -220,9 +221,29 @@ class TestWriteMatchesRows:
             for start, stop in [(0, n), (0, 0), (3, 4), (2, 9), (n, n)]:
                 buf = io.StringIO()
                 with mock.patch.object(calculus, "CSV_CHUNK", chunk), \
-                        mock.patch.object(calculus, "G17_MIN_ROWS", threshold):
-                    calculus.write_rows(buf, fmt, cols, start, stop)
+                        mock.patch.object(g17, "_MIN_CELLS", threshold):
+                    calculus.write_rows(buf, [c[start:stop] for c in cols],
+                                        [","] * (k - 1) + ["\n"])
                 assert buf.getvalue() == "".join(fmt % row for row in rows[start:stop])
+
+    # chunks on either side of g17._MIN_CELLS for one to three columns, then
+    # 3-column chunks of 255 and 256 rows, and a 171-row chunk after a full
+    # one, with nothing patched
+    @pytest.mark.parametrize("k, n", [
+        (k, n) for k in (1, 2, 3) for n in range(g17._MIN_CELLS // k - 1, g17._MIN_CELLS // k + 2)
+    ] + [(3, 255), (3, 256), (3, calculus.CSV_CHUNK + 171)])
+    def test_either_side_of_the_cell_threshold(self, k, n):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n * k) * 10.0 ** rng.integers(-32, 19, n * k)
+        # cells that the numpy path hands to `%`, in the first and last rows
+        values[:4] = values[-4:] = [-0.0, math.inf, math.nan, 5e-324]
+        cols = [values[q::k] for q in range(k)]
+        fmt = ",".join(["%.17g"] * k) + "\n"
+        buf = io.StringIO()
+        calculus.write_rows(buf, cols, [","] * (k - 1) + ["\n"])
+        # as lists of rows, which pytest compares quickly when they differ
+        assert buf.getvalue().splitlines(keepends=True) == [
+            fmt % row for row in zip(*(c.tolist() for c in cols))]
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, calculus.CSV_CHUNK])
     @pytest.mark.parametrize("k", [1, 2])
@@ -238,7 +259,7 @@ class TestWriteMatchesRows:
                 interior = col[2:n - 2]
                 buf = io.StringIO()
                 with mock.patch.object(calculus, "CSV_CHUNK", chunk), \
-                        mock.patch.object(calculus, "G17_MIN_ROWS", threshold):
+                        mock.patch.object(g17, "_MIN_CELLS", threshold):
                     cli._write_with_residual(buf, cols,
                                              np.array(interior) if as_array else interior)
                 want = "".join(

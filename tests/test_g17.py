@@ -1,5 +1,5 @@
 """g17.format_rows against Python's `%`, whose text it must match byte for
-byte. The cells go through calculus.write_rows with its row threshold at 1,
+byte. The cells go through calculus.write_rows with the cell threshold at 0,
 so every chunk takes the numpy path and `%` gets only the cells that path
 hands it."""
 
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsvar
-from tsvar import calculus
+from tsvar import calculus, g17
 
 SUBNORMALS = [5e-324, 1e-323, 2.2250738585072009e-308, 1e-310]
 SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan] + SUBNORMALS + [-v for v in SUBNORMALS]
@@ -24,7 +24,7 @@ SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan] + SUBNORMALS + [-v for v i
 
 @pytest.fixture(autouse=True)
 def every_chunk_exact(monkeypatch):
-    monkeypatch.setattr(calculus, "G17_MIN_ROWS", 1)
+    monkeypatch.setattr(g17, "_MIN_CELLS", 0)
 
 
 def _check(values, k: int = 1) -> None:
@@ -34,7 +34,7 @@ def _check(values, k: int = 1) -> None:
     cols = [values[q::k] for q in range(k)]
     fmt = ",".join(["%.17g"] * k) + "\n"
     buf = io.StringIO()
-    calculus.write_rows(buf, fmt, [np.array(c) for c in cols], 0, len(cols[0]))
+    calculus.write_rows(buf, [np.array(c) for c in cols], [","] * (k - 1) + ["\n"])
     assert buf.getvalue().splitlines() == [fmt[:-1] % row for row in zip(*cols)]
 
 
@@ -120,26 +120,18 @@ class TestRowFormats:
         fmt = "".join("%.17g" + s for s in seps)
         cols = [np.array([0.1 * (q + 1), -0.0, 1e-7, 3.0]) for q in range(len(seps))]
         buf = io.StringIO()
-        calculus.write_rows(buf, fmt, cols, 0, 4)
-        assert buf.getvalue() == "".join(fmt % row for row in zip(*cols))
-
-    @pytest.mark.parametrize("fmt", ["%.17g %%\n", "x%.17g\n", "%.17g,%.6g\n", "%.17g\0\n"])
-    def test_other_formats_keep_percent(self, fmt):
-        k = fmt.count("%.")
-        cols = [np.array([0.1, 2.5, 1e-7]) for _ in range(k)]
-        buf = io.StringIO()
-        calculus.write_rows(buf, fmt, cols, 0, 3)
+        calculus.write_rows(buf, cols, seps)
         assert buf.getvalue() == "".join(fmt % row for row in zip(*cols))
 
     def test_lists_and_non_float_columns(self):
         cols = [[0.25, 1e-9, -3.0], np.array([1, 2, 3])]
         buf = io.StringIO()
-        calculus.write_rows(buf, "%.17g,%.17g\n", cols, 0, 3)
+        calculus.write_rows(buf, cols, [",", "\n"])
         assert buf.getvalue() == "".join("%.17g,%.17g\n" % row for row in zip(*cols))
 
     def test_non_numbers_raise_as_percent_does(self):
         with pytest.raises(TypeError):
-            calculus.write_rows(io.StringIO(), "%.17g\n", [["1.5"]], 0, 1)
+            calculus.write_rows(io.StringIO(), [["1.5"]], ["\n"])
 
 
 def test_imports_only_numpy():
