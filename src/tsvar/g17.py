@@ -180,5 +180,4 @@ def format_rows(cells: np.ndarray, seps: list[str]) -> str:
         cell = np.frombuffer(text, dtype=np.uint8).reshape(-1, _FALLBACK)
         rows[bad, :_WIDTH] = 0
         rows[bad, :_FALLBACK] = np.where(cell == ord(" "), 0, cell)
-    flat = rows.reshape(-1)
-    return flat[flat != 0].tobytes().decode()
+    return rows.tobytes().translate(None, b"\0").decode()

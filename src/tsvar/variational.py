@@ -12,8 +12,7 @@ are exact on discrete scales and first-order accurate on dense parts.
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -111,9 +110,6 @@ class Solution:
     lam: float | None = None
     lam0: float | None = None
     normal_flag: bool | None = None
-    # (problem, the trajectory as solved, its records under L and G), which
-    # the public checks read in place of fresh ones while this lives
-    _solved: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -281,33 +277,24 @@ def _opened(problem: Problem, y: GridFunction, boundaries: bool = True) -> _Iter
     return _record(problem, y)
 
 
-# a public check gets only the trajectory, so the Solutions whose records it
-# may read are found by their trajectory's identity; an entry goes when its
-# Solution does
-_SOLVED: weakref.WeakValueDictionary[int, Solution] = weakref.WeakValueDictionary()
-
-
 def _solution(problem: Problem, ys: np.ndarray, records: tuple[_Iterate, _Iterate | None],
               **figures) -> Solution:
-    """The Solution with trajectory ys and the given figures, keeping the
-    solver's last records (under L and G, or None) cut down to what the
-    public checks read."""
-    cut = tuple(None if at is None else at.cut() for at in records)
-    sol = Solution(y=GridFunction(problem.discretized(), ys), **figures,
-                   _solved=(problem, ys, cut))
-    _SOLVED[id(sol.y)] = sol
-    return sol
+    """The Solution with trajectory ys and the given figures. Its y carries
+    (problem, ys, the solver's last records under L and G, or None), cut
+    down to what the public checks read, for as long as y lives."""
+    y = GridFunction(problem.discretized(), ys)
+    object.__setattr__(y, "_solved", (problem, ys, tuple(
+        None if at is None else at.cut() for at in records)))
+    return Solution(y=y, **figures)
 
 
 def _record(problem: Problem, y: GridFunction, constraint: bool = False) -> _Iterate:
     """y's record under problem.L, or with constraint under problem.G: the
-    solver's own when y is the trajectory of a live Solution of this very
-    problem and still holds the values solved, else a fresh one."""
-    sol = _SOLVED.get(id(y))
-    if sol is not None and sol.y is y:
-        solved, ys, records = sol._solved
-        if solved is problem and np.array_equal(ys, y.values) and records[constraint]:
-            return records[constraint]
+    solver's own when y is a solution's trajectory on this very problem and
+    still holds the values solved, else a fresh one."""
+    solved, ys, records = getattr(y, "_solved", (None, None, (None, None)))
+    if solved is problem and records[constraint] and np.array_equal(ys, y.values):
+        return records[constraint]
     lag, u = (problem.G, problem.w) if constraint else (problem.L, problem.u)
     return _Iterate(lag, u, problem.discretized().points, y.values)
 

@@ -465,6 +465,34 @@ class TestIterateReuse:
                 # of the two that take the multipliers
                 assert len(runs) == (6 if pair else 4)
 
+    def test_checks_on_a_dropped_solutions_trajectory_run_no_program(self, runs):
+        # the trajectory carries the solver's records, so they last as long
+        # as y does, not the Solution around it
+        for p in self.problems(h=1 / 300)[:1] + self.iso_problems(h=1 / 300)[1:2]:
+            iso = isinstance(p, IsoProblem)
+            sol = solve_iso(p) if iso else solve(p)
+            y, pair = sol.y, (sol.lam0, sol.lam) if iso else ()
+            want = (sol.functional_value, sol.residual_max)
+            del sol
+            runs.clear()
+            got = self.checks(p, y, pair)
+            assert runs == []
+            assert (got[0], got[3]) == want
+
+    def test_solution_holds_only_its_public_figures(self):
+        import dataclasses
+
+        from tsvar import Solution
+
+        assert [f.name for f in dataclasses.fields(Solution)] == [
+            "y", "functional_value", "residual_max", "iterations",
+            "lam", "lam0", "normal_flag"]
+        for sol in (solve(self.problems(h=1 / 300)[0]),
+                    solve_iso(self.iso_problems(h=1 / 300)[0])):
+            fields = dataclasses.asdict(sol)
+            assert "_solved" not in fields
+            assert set(fields["y"]) == {"grid", "values"}
+
     def test_other_trajectories_and_problems_are_evaluated_afresh(self, runs):
         p = self.iso_problems(h=1 / 300)[1]
         sol = solve_iso(p)
