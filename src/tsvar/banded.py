@@ -3,11 +3,12 @@ one row and column, for the Newton step.
 
 numpy has no banded solver, and scipy.linalg.solve_banded is kept out on
 purpose: importing scipy.linalg costs 0.26-0.4 s and about 27 MB of RSS,
-far more than a whole small solve. A definite system with at least
-_CR_MIN_UNKNOWNS unknowns is solved by cyclic reduction, log2(m / 64)
-levels of numpy slicing and a scalar sweep over the rest; anything else
-by the pivoting loop, a Python loop over floats that is O(m) and stays
-the fallback for indefinite or singular systems.
+far more than a whole small solve. A definite matrix with at least
+_CR_MIN_UNKNOWNS unknowns is factored once by cyclic reduction, log2(m / 64)
+levels of numpy slicing and a scalar sweep over the rest, and each
+right-hand side is solved with that factor; anything else goes to the
+pivoting loop, a Python loop over floats that is O(m) and stays the
+fallback for indefinite or singular systems.
 """
 
 from __future__ import annotations
@@ -34,22 +35,22 @@ _CR_MIN_UNKNOWNS = 512
 _CR_TAIL = 63
 
 
-def _cyclic_reduction(diag: np.ndarray, off: np.ndarray,
-                      rhs: tuple[np.ndarray, ...]) -> np.ndarray | None:
-    """Solve T x = r for each r in rhs by odd-even cyclic reduction, with T
-    the symmetric tridiagonal matrix with the given bands; one row of the
-    result per right-hand side.
+def _factor(diag: np.ndarray, off: np.ndarray) -> tuple | None:
+    """Factor the symmetric tridiagonal matrix T with the given bands by
+    odd-even cyclic reduction, for _solve_factored. Each level eliminates
+    the even-numbered unknowns, which do not couple to each other, and
+    leaves a tridiagonal system in the odd-numbered ones. Once at most
+    _CR_TAIL unknowns are left, that system is factored L D L^T by a scalar
+    sweep. Together this factors P T P^T = L D L^T without pivoting, which
+    is stable for a definite T (Buzbee, Golub & Nielson 1970; Golub & Van
+    Loan ch. 4), and by Sylvester's law T is definite iff every pivot has
+    the sign of T[0, 0]. So it returns None, and leaves the system to the
+    pivoting loop, when there are fewer than _CR_MIN_UNKNOWNS unknowns or
+    when some pivot lacks that sign. T is padded with identity rows to the
+    fewest rows that k levels can halve.
 
-    Each level eliminates the even-numbered unknowns, which do not couple
-    to each other, and leaves a tridiagonal system in the odd-numbered
-    ones. Once at most _CR_TAIL unknowns are left, that system is factored
-    L D L^T by a scalar sweep. Together this factors P T P^T = L D L^T
-    without pivoting, which is stable for a definite T (Buzbee, Golub &
-    Nielson 1970; Golub & Van Loan ch. 4), and by Sylvester's law T is
-    definite iff every pivot has the sign of T[0, 0]. So it returns None,
-    and leaves the system to the pivoting loop, when there are fewer than
-    _CR_MIN_UNKNOWNS unknowns or when some pivot lacks that sign. T is
-    padded with identity rows to the fewest rows that k levels can halve.
+    The factor is (flip, levels, tail): flip when -T is factored, each
+    level's (piv, a, c), and the tail's D and subdiagonal of L (piv, low).
     """
     m = diag.size
     if m < _CR_MIN_UNKNOWNS or not diag[0] != 0.0:
@@ -62,68 +63,63 @@ def _cyclic_reduction(diag: np.ndarray, off: np.ndarray,
     # e[0] = e[n] = 0
     d = np.ones(n)
     e = np.zeros(n + 1)
-    out = np.zeros((len(rhs), n))
-    d[:m], e[1:m], out[:, :m] = diag, off, rhs
-    if diag[0] < 0.0:  # reduce -T when T is negative definite
+    d[:m], e[1:m] = diag, off
+    flip = diag[0] < 0.0  # reduce -T when T is negative definite
+    if flip:
         d[:m] *= -1.0
         e[1:m] *= -1.0
-        out *= -1.0
-    # one right-hand side runs on 1-D slices, which are cheaper; the
-    # solution overwrites the right-hand side, level by level
-    x = r = out[0] if len(rhs) == 1 else out
     levels = []
     with np.errstate(all="ignore"):  # a non-finite result is the caller's check
         for _ in range(k):
             piv = d[0::2]
             left, right = e[1:-1:2], e[2::2]  # odd rows' even neighbours
             a, c = left / piv[:-1], right / piv[1:]
-            levels.append((piv, a, c, r[..., 0::2]))
+            levels.append((piv, a, c))
             d = d[1::2] - a * left - c * right
-            r = r[..., 1::2] - a * r[..., :-1:2] - c * r[..., 2::2]
             e = -(e[0::2] * e[1::2]) / piv
         if levels and not np.concatenate([lv[0] for lv in levels]).min() > 0.0:
             return None
-        top = (1 << k) - 1  # level j's unknowns are x[2^j - 1::2^j]
-        tail = _ldl_sweep(d.tolist(), e.tolist(), r.reshape(-1, d.size).tolist())
-        if tail is None:
-            return None
-        x[..., top::top + 1] = tail[0] if len(rhs) == 1 else tail
-        for j in range(k - 1, -1, -1):
-            piv, a, c, r_even = levels[j]
-            here = x[..., (1 << j) - 1::1 << j]
-            x_even, x_odd = here[..., 0::2], here[..., 1::2]
-            np.divide(r_even, piv, out=x_even)
-            x_even[..., :-1] -= a * x_odd
-            x_even[..., 1:] -= c * x_odd
-    return out[:, :m]
-
-
-def _ldl_sweep(d: list[float], e: list[float],
-               rhs: list[list[float]]) -> list[list[float]] | None:
-    """Solve the tridiagonal system left after cyclic reduction, with row i
-    reading e[i] x[i - 1] + d[i] x[i] + e[i + 1] x[i + 1], by factoring it
-    L D L^T; None when a pivot of D is not positive."""
-    piv, low = [], []  # D, and the subdiagonal of L (low[0] = 0)
-    p = 1.0
-    for di, ei in zip(d, e):
+    piv, low, p = [], [], 1.0  # the tail's D, and L's subdiagonal (low[0] = 0)
+    for di, ei in zip(d.tolist(), e.tolist()):
         f = ei / p
         p = di - f * ei
         if not p > 0.0:
             return None
         piv.append(p)
         low.append(f)
-    out = []
-    for b in rhs:
+    return flip, levels, (piv, low)
+
+
+def _solve_factored(factor: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve T x = rhs with the factor of T that _factor returned."""
+    flip, levels, (piv, low) = factor
+    k = len(levels)  # the solution overwrites the padded right-hand side
+    x = np.zeros(((len(piv) + 1) << k) - 1)
+    x[:rhs.size] = rhs
+    if flip:
+        x *= -1.0
+    r, r_even = x, []
+    with np.errstate(all="ignore"):  # a non-finite result is the caller's check
+        for _, a, c in levels:
+            r_even.append(r[0::2])
+            r = r[1::2] - a * r[:-1:2] - c * r[2::2]
         z, zs = 0.0, []
-        for bi, f in zip(b, low):
+        for bi, f in zip(r.tolist(), low):
             z = bi - f * z
             zs.append(z)
-        x, xs = 0.0, []
+        t, ts = 0.0, []
         for zi, p, f in zip(reversed(zs), reversed(piv), reversed(low[1:] + [0.0])):
-            x = zi / p - f * x
-            xs.append(x)
-        out.append(xs[::-1])
-    return out
+            t = zi / p - f * t
+            ts.append(t)
+        top = (1 << k) - 1  # level j's unknowns are x[2^j - 1::2^j]
+        x[top::top + 1] = ts[::-1]
+        for j in range(k - 1, -1, -1):
+            x_even, x_odd = x[(1 << j) - 1::2 << j], x[(2 << j) - 1::2 << j]
+            p, a, c = levels[j]
+            np.divide(r_even[j], p, out=x_even)
+            x_even[:-1] -= a * x_odd
+            x_even[1:] -= c * x_odd
+    return x[:rhs.size]
 
 
 def solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
@@ -131,8 +127,10 @@ def solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
     """Solve T x = rhs, where T is the symmetric tridiagonal matrix with the
     given bands: by cyclic reduction when it applies, else by the pivoting
     loop."""
-    x = _cyclic_reduction(diag, off, (rhs,))
-    return x[0] if x is not None else _solve_pivoting(diag, off, rhs)
+    factor = _factor(diag, off)
+    if factor is None:
+        return _solve_pivoting(diag, off, rhs)
+    return _solve_factored(factor, rhs)
 
 
 def _solve_pivoting(diag: np.ndarray, off: np.ndarray,
@@ -197,10 +195,10 @@ def bordered_step(diag: np.ndarray, off: np.ndarray, gg: np.ndarray,
         if gn == 0.0:
             raise SingularSystemError(_SINGULAR)
         return -float(phi[m]) / gn * gg, float(gg @ phi[:m]) / gn
-    ab = _cyclic_reduction(diag, off, (-phi[:m], gg))
-    if ab is None:
+    factor = _factor(diag, off)
+    if factor is None:
         return _bordered_elimination(diag, off, gg, phi)
-    a, b = ab
+    a, b = (_solve_factored(factor, r) for r in (-phi[:m], gg))
     gb = float(gg @ b)
     dlam = (-float(phi[m]) - float(gg @ a)) / gb if gb != 0.0 else 0.0
     return a + dlam * b, dlam

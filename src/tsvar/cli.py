@@ -178,11 +178,12 @@ def parse_problem_file(text: str, h_override: float | None = None) -> Problem:
 
 def _load_scale(arg: str) -> TimeScale:
     """A scale argument is a file path or an inline literal (';' separates lines).
-    Only a regular file is read: an empty argument is an empty literal."""
+    Only a regular file is read: an empty argument is an empty literal. A
+    file with a section header line gives its [timescale]."""
     path = Path(arg)
     if path.is_file():
         text = path.read_text(encoding="utf-8")
-        if "[" in text:
+        if any(line.startswith("[") for _, line in numbered_lines(text)):
             return _read_sections(
                 text, {"timescale": "file has sections but no [timescale]"})[0]
         return parse_timescale(text)

@@ -211,7 +211,8 @@ class TestCyclicReduction:
     def check_definite(self, m, u):
         from tsvar.banded import (
             _CR_MIN_UNKNOWNS,
-            _cyclic_reduction,
+            _factor,
+            _solve_factored,
             _solve_pivoting,
             solve_tridiagonal,
         )
@@ -222,12 +223,14 @@ class TestCyclicReduction:
         got = [solve_tridiagonal(diag, off, r) for r in (r1, r2)]
         loop = [_solve_pivoting(diag, off, r) for r in (r1, r2)]
         assert all(x.shape == (m,) and x.dtype == np.float64 for x in got)
-        reduced = _cyclic_reduction(diag, off, (r1, r2))
+        factor = _factor(diag, off)
         if m < _CR_MIN_UNKNOWNS:
-            assert reduced is None
+            assert factor is None
             assert all(np.array_equal(x, y) for x, y in zip(got, loop))
             return
-        assert reduced is not None and reduced.shape == (2, m)
+        # one factor serves both right-hand sides
+        assert factor is not None
+        reduced = [_solve_factored(factor, r) for r in (r1, r2)]
         assert all(np.array_equal(x, y) for x, y in zip(got, reduced))
         dense = dense_tridiagonal(diag, off)
         for x, want_loop, r in zip(got, loop, (r1, r2)):
@@ -239,7 +242,7 @@ class TestCyclicReduction:
         # the Hessian has eigenvalues of both signs
         from tsvar.banded import (
             _CR_MIN_UNKNOWNS,
-            _cyclic_reduction,
+            _factor,
             _solve_pivoting,
             solve_tridiagonal,
         )
@@ -251,7 +254,7 @@ class TestCyclicReduction:
         dense = dense_tridiagonal(diag, off)
         eig = np.linalg.eigvalsh(dense)
         assert eig.min() < 0.0 < eig.max()
-        assert _cyclic_reduction(diag, off, (r1,)) is None
+        assert _factor(diag, off) is None
         got = solve_tridiagonal(diag, off, r1)
         loop = _solve_pivoting(diag, off, r1)
         assert np.array_equal(got, loop)
@@ -262,16 +265,21 @@ class TestCyclicReduction:
     @pytest.mark.parametrize("k", [1, 2])
     def test_tail_sweep_matches_dense(self, monkeypatch, offset, u, k):
         # with the threshold lowered, _CR_TAIL + offset unknowns go straight
-        # to the sweep (offset <= 0) or through one or two levels first
+        # to the sweep (offset <= 0) or through one or two levels first; k
+        # right-hand sides are solved with one factor, and solving leaves
+        # the factor as it was
         from tsvar import banded
-        from tsvar.banded import _CR_TAIL, _cyclic_reduction
+        from tsvar.banded import _CR_TAIL, _factor, _solve_factored
 
         monkeypatch.setattr(banded, "_CR_MIN_UNKNOWNS", 1)
         m = _CR_TAIL + offset
         diag, off, r1, r2 = self.case(self.CONVEX, u, m, np.random.default_rng(m))
         rhs = (r1, r2)[:k]
-        got = _cyclic_reduction(diag, off, rhs)
-        assert got is not None and got.shape == (k, m)
+        factor = _factor(diag, off)
+        assert factor is not None
+        got = [_solve_factored(factor, r) for r in rhs]
+        assert all(x.shape == (m,) for x in got)
+        assert np.array_equal(_solve_factored(factor, r1), got[0])
         dense = dense_tridiagonal(diag, off)
         for x, r in zip(got, rhs):
             assert self.close(x, np.linalg.solve(dense, r), m)
@@ -289,29 +297,29 @@ class TestCyclicReduction:
         # a row that survives every level keeps its own diagonal through the
         # reduction, so lowering that one entry leaves every level's pivots
         # as they were and turns only a pivot of the sweep
-        from tsvar.banded import _cyclic_reduction, solve_tridiagonal
+        from tsvar.banded import _factor, solve_tridiagonal
 
         m = 1023
         diag, off, r1, r2 = self.case(self.CONVEX, u, m, np.random.default_rng(5))
-        assert _cyclic_reduction(diag, off, (r1,)) is not None
+        assert _factor(diag, off) is not None
         diag = diag.copy()
         diag[self.tail_row(m)] -= 10.0 * diag[self.tail_row(m)]
         dense = dense_tridiagonal(diag, off)
         eig = np.linalg.eigvalsh(dense)
         assert eig.min() < 0.0 < eig.max()
-        assert _cyclic_reduction(diag, off, (r1, r2)) is None
+        assert _factor(diag, off) is None
         for r in (r1, r2):
             x = solve_tridiagonal(diag, off, r)
             assert self.close(x, np.linalg.solve(dense, r), m)
 
     def test_bad_first_level_pivot_falls_back(self):
-        from tsvar.banded import _cyclic_reduction, solve_tridiagonal
+        from tsvar.banded import _factor, solve_tridiagonal
 
         m = 1023
         diag, off, r1, _ = self.case(self.CONVEX, 1.0, m, np.random.default_rng(6))
         diag = diag.copy()
         diag[2] = -diag[2]  # an even row: a pivot of the first level
-        assert _cyclic_reduction(diag, off, (r1,)) is None
+        assert _factor(diag, off) is None
         x = solve_tridiagonal(diag, off, r1)
         assert self.close(x, np.linalg.solve(dense_tridiagonal(diag, off), r1), m)
 

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,17 @@ class TestSolve:
         assert header == ["t", "y", "residual"]
         for t_txt, y_txt, _ in rows:
             assert abs(float(y_txt) - float(t_txt)) <= 1e-6
+
+    def test_readme_problem_file_solves(self, tmp_path: Path):
+        # the example under README's "Problem files" is a valid problem file
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        [block] = re.findall(r"^```ini\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                             re.S | re.M)
+        prob = tmp_path / "readme.prob"
+        prob.write_text(block)
+        cp = run_cli("solve", str(prob), "--out", str(tmp_path / "sol.csv"))
+        assert cp.returncode == 0, cp.stderr
+        assert "normal = true" in cp.stdout
 
     def test_summary_goes_to_stderr_when_csv_on_stdout(self, tmp_path: Path):
         prob = tmp_path / "classic.prob"

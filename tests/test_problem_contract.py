@@ -278,6 +278,15 @@ def test_malformed_scale_argument(tmp_path, case):
     assert _calc_int(tmp_path, arg) == (2, "", f"error: {message}\n")
 
 
+def test_plain_scale_file_with_a_bracket_in_a_comment(tmp_path):
+    # only a line that starts with '[' makes a file sectioned; comments are
+    # not read for that
+    expected = _calc_int(tmp_path, "interval 0 1")
+    path = tmp_path / "scale.txt"
+    path.write_text("# unit interval [0, 1]\ninterval 0 1\n")
+    assert _calc_int(tmp_path, str(path)) == expected == (0, "0.75\n", "")
+
+
 def test_scale_file_reads_only_its_timescale(tmp_path):
     # as a SCALE, a problem file gives its [timescale]; its other sections
     # are checked for structure only
