@@ -135,20 +135,18 @@ def solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
 
 def _solve_pivoting(diag: np.ndarray, off: np.ndarray,
                     rhs: np.ndarray) -> np.ndarray:
-    """Solve T x = rhs by Gaussian elimination with partial pivoting in the
-    row order of LAPACK gtsv: a row interchange fills in a second
-    superdiagonal. A zero pivot raises SingularSystemError.
-    """
+    """Solve T x = rhs by Gaussian elimination with partial pivoting in one
+    pass that updates rhs as it eliminates, as LAPACK dgtsv does for one
+    right-hand side, and bit for bit like it: a row interchange fills in a
+    second superdiagonal. A zero pivot raises SingularSystemError."""
     d = diag.tolist()
     dl = off.tolist()  # the subdiagonal; read only
     du = dl + [0.0]  # the superdiagonal, padded so row n - 1 needs no case
     n = len(d)
     du2 = [0.0] * n
-    swapped = [False] * n
-    fact = [0.0] * n
+    b = rhs.tolist() + [0.0, 0.0]
     for i in range(n - 1):
         if abs(dl[i]) > abs(d[i]):
-            swapped[i] = True
             f = d[i] / dl[i]
             d[i] = dl[i]
             below = d[i + 1]
@@ -156,20 +154,15 @@ def _solve_pivoting(diag: np.ndarray, off: np.ndarray,
             du2[i] = du[i + 1]
             du[i + 1] = -f * du2[i]
             du[i] = below
+            b[i], b[i + 1] = b[i + 1], b[i] - f * b[i + 1]
         else:
             if d[i] == 0.0:
                 raise SingularSystemError(_SINGULAR)
             f = dl[i] / d[i]
             d[i + 1] -= f * du[i]
-        fact[i] = f
+            b[i + 1] -= f * b[i]
     if d[n - 1] == 0.0:
         raise SingularSystemError(_SINGULAR)
-    b = rhs.tolist() + [0.0, 0.0]
-    for i in range(n - 1):
-        if swapped[i]:
-            b[i], b[i + 1] = b[i + 1], b[i] - fact[i] * b[i + 1]
-        else:
-            b[i + 1] -= fact[i] * b[i]
     for i in range(n - 1, -1, -1):
         b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
     return np.array(b[:n])

@@ -179,14 +179,19 @@ def parse_problem_file(text: str, h_override: float | None = None) -> Problem:
 def _load_scale(arg: str) -> TimeScale:
     """A scale argument is a file path or an inline literal (';' separates lines).
     Only a regular file is read: an empty argument is an empty literal. A
-    file with a section header line gives its [timescale]."""
+    file with a section header line gives its [timescale]; in a plain file,
+    ';' separates items of a line that is not a comment, and each item keeps
+    its line's number."""
     path = Path(arg)
     if path.is_file():
         text = path.read_text(encoding="utf-8")
-        if any(line.startswith("[") for _, line in numbered_lines(text)):
+        lines = numbered_lines(text)
+        if any(line.startswith("[") for _, line in lines):
             return _read_sections(
                 text, {"timescale": "file has sections but no [timescale]"})[0]
-        return parse_timescale(text)
+        items = [(lineno, item) for lineno, line in lines
+                 for _, item in numbered_lines(line.replace(";", "\n"))]
+        return scale_from_lines(items, "time scale description is empty")
     return parse_timescale(arg)
 
 

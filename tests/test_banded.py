@@ -373,6 +373,73 @@ class TestErrorBranches:
                                   np.array([0.0, 1.0]), np.ones(3))
 
 
+class TestPivotingLoopIsDgtsv:
+    """The pivoting loop against LAPACK dgtsv, bit for bit: both eliminate
+    one right-hand side in one pass, with the same operations in the same
+    order. scipy is a test oracle here only; the package never imports it."""
+
+    KINDS = ("definite", "negative_definite", "indefinite", "swap_heavy",
+             "zero_off_diagonal", "small_integers")
+
+    @staticmethod
+    def system(rng, kind):
+        n = int(rng.integers(2, 300))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        off = rng.uniform(-1.0, 1.0, n - 1) * scale
+        diag = rng.uniform(-1.0, 1.0, n) * scale
+        if kind in ("definite", "negative_definite"):
+            sign = 1.0 if kind == "definite" else -1.0
+            diag = sign * (np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
+                           + rng.uniform(0.01, 1.0, n) * scale)
+        elif kind == "swap_heavy":
+            diag *= 1e-3
+        elif kind == "zero_off_diagonal":
+            off[rng.random(n - 1) < 0.2] = 0.0
+        elif kind == "small_integers":  # exact cancellations make some singular
+            n = int(rng.integers(2, 12))
+            diag = rng.integers(-2, 3, n).astype(float)
+            off = rng.integers(-2, 3, n - 1).astype(float)
+        rhs = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3, 3)
+        rhs[rng.random(n) < 0.1] = 0.0
+        return diag, off, rhs
+
+    @staticmethod
+    def check(diag, off, rhs):
+        """Assert that _solve_pivoting raises SingularSystemError exactly
+        when dgtsv reports a zero pivot (info > 0), and otherwise returns
+        dgtsv's solution bit for bit. Returns whether it was singular."""
+        lapack = pytest.importorskip("scipy.linalg").lapack
+        from tsvar.banded import _solve_pivoting
+
+        *_, want, info = lapack.dgtsv(off, diag, off, rhs)
+        assert info >= 0
+        if info > 0:
+            with pytest.raises(SingularSystemError):
+                _solve_pivoting(diag, off, rhs)
+            return True
+        got = _solve_pivoting(diag, off, rhs)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        return False
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_systems(self, kind):
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        singular = [self.check(*self.system(rng, kind)) for _ in range(60)]
+        # only the integer systems reach an exactly zero pivot, and they
+        # reach both outcomes
+        assert any(singular) == (kind == "small_integers")
+        assert not all(singular)
+
+    @pytest.mark.parametrize("diag, off, rhs, singular", [
+        ([1.0, 1.0], [1.0], [1.0, 1.0], True),
+        ([0.0, 1.0, 2.0], [0.0, 1.0], [1.0, 2.0, 3.0], True),  # zero column
+        ([0.0, 1.0, 2.0], [3.0, 1.0], [0.0, 0.0, 0.0], False),  # swap, zero rhs
+        ([1.0, -1.0, 1.0, -1.0], [2.0, 2.0, 2.0], [1.0, 0.0, -0.0, 1.0], False),
+    ])
+    def test_chosen_systems(self, diag, off, rhs, singular):
+        assert self.check(*(np.array(a) for a in (diag, off, rhs))) == singular
+
+
 class TestModuleBoundary:
     """The linear algebra reads no problem, and the solvers reach it through
     its two public functions only."""

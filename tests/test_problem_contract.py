@@ -257,6 +257,9 @@ SCALE_ARG_CASES = {
     "second_literal_line": ("interval 0 1; points x", "line 2: not a number: 'x'"),
     "empty_file": ("file:", "time scale description is empty"),
     "scale_file": ("file:interval 0 1\n# note\npoints 2 y\n", "line 3: not a number: 'y'"),
+    # a file's items keep their own line's number, also after a ';'
+    "scale_file_item_after_separator": ("file:interval 0 1\n# c\npoints 2; points x\n",
+                                        "line 3: not a number: 'x'"),
     "sections_without_timescale": ("file:[problem]\nu = 1\n",
                                    "file has sections but no [timescale]"),
     "sectioned_file_structure": ("file:" + _edit(PROBLEM, ("[problem]", "[solver]")),
@@ -284,6 +287,17 @@ def test_plain_scale_file_with_a_bracket_in_a_comment(tmp_path):
     expected = _calc_int(tmp_path, "interval 0 1")
     path = tmp_path / "scale.txt"
     path.write_text("# unit interval [0, 1]\ninterval 0 1\n")
+    assert _calc_int(tmp_path, str(path)) == expected == (0, "0.75\n", "")
+
+
+@pytest.mark.parametrize("text", ["# unit interval; closed\ninterval 0 1\n",
+                                  "interval 0 1; # note\n"])
+def test_plain_scale_file_semicolon_in_a_comment(tmp_path, text):
+    # in a plain scale file ';' separates items but does not end a comment:
+    # a comment line is dropped whole, and so is an item that starts with '#'
+    expected = _calc_int(tmp_path, "interval 0 1")
+    path = tmp_path / "scale.txt"
+    path.write_text(text)
     assert _calc_int(tmp_path, str(path)) == expected == (0, "0.75\n", "")
 
 
